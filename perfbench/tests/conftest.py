@@ -1,0 +1,8 @@
+"""Make the benchmark's modules and the program importable for its tests:
+``python3 -m pytest perfbench/tests`` from the repository root."""
+import os
+import sys
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [os.path.dirname(_HERE),
+                os.path.join(os.path.dirname(os.path.dirname(_HERE)), "src")]
