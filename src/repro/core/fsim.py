@@ -1,26 +1,37 @@
 """FSimX — the paper's fractional chi-simulation framework on Spark.
 
 Distributed transcription of Algorithm 1 + Table 3 as an iterative
-DataFrame fixpoint (the ``repro`` hint's "iterative message passing /
-fixpoint computation over graph edges"):
+DataFrame fixpoint. In Algorithm 1 only the score map H changes between
+iterations; the neighbour-pair structure E1(u, x) E2(v, y) restricted to
+candidate pairs is static. So one run builds two cached frames once:
 
-- the score map H is a DataFrame ``(u, v, score)`` over candidate pairs
-  (pairs with ``L(u, v) >= theta``; the paper's label-constrained
-  maintenance);
-- one iteration joins the two edge relations through the previous
-  scores — ``E1(u,x) |X| S(x,y,s) |X| E2(v,y)`` — then reduces each
-  (u, v) group with the variant's mapping operator: groupBy-max/sum for
-  s and b, and for dp/bj a greedy max-weight matching (Section 4.2's
-  "greedy approximate of Hungarian") expressed as a Catalyst
-  higher-order fold over the collected candidate array — the whole loop
-  stays in Tungsten, no Python workers;
-- lineage is truncated every iteration with ``localCheckpoint`` and the
-  loop stops when ``max |Delta| < eps`` (Theorem 1 guarantees
-  contraction by a factor of w+ + w-).
+- the *pair table* ``(u, v, lsim, do1, di1, do2, di2, fs)``: every
+  candidate pair (``L(u, v) >= theta``, the paper's label-constrained
+  maintenance) with its degrees and, for pairs frozen by upper-bound
+  updating, the frozen score ``fs`` (null for live pairs);
+  hash-partitioned by ``(u, v)``;
+- the *index* ``P(u, v, d, x, y, fs)``: for each live pair, the
+  neighbour pairs ``(x, y)`` that are in the pair table, with ``d = 0``
+  for out-neighbours and ``d = 1`` for in-neighbours, plus one ``d = 2``
+  row ``(x, y) = (u, v)`` that carries the previous score into the same
+  pass; hash-partitioned by ``(x, y)``.
 
-Upper-bound updating (Section 3.4): pairs whose Eq.-6 bound is below
-``beta`` are frozen at ``alpha * ub`` and only participate as neighbor
-lookups, never recomputed.
+One iteration is then a single pass with two shuffles: the checkpointed
+scores, renamed to ``(x, y, s)``, join P (only the scores side moves);
+``repartition(u, v)`` groups each pair's rows; the variant's mapping
+operator reduces them (groupBy-max/sum for s and b, and for dp/bj a
+greedy max-weight matching, Section 4.2's "greedy approximate of
+Hungarian", as a Catalyst higher-order fold over the collected
+candidate array, so the loop never starts a Python worker); a left join
+onto the co-partitioned pair table normalises. One eager
+``localCheckpoint`` truncates lineage and one ``first`` reads
+``max |score - prev|``; the loop stops when it is below ``eps``
+(Theorem 1 guarantees contraction by a factor of w+ + w-).
+
+Upper-bound updating (Section 3.4): the Eq.-6 cardinalities are the
+same reduce over the same neighbour pairs with every score set to 1.
+Pairs whose bound is below ``beta`` are frozen at ``alpha * ub`` and
+only participate as neighbour lookups, never recomputed.
 
 The ``simrank`` variant (Section 4.3) reuses the same loop with
 ``M = S1 x S2`` and ``Omega = |S1||S2|``; RoleSim reuses ``bj`` with a
@@ -28,25 +39,22 @@ constant label function (see ``core/configs.py``).
 """
 from __future__ import annotations
 
-import os
-import sys
+import logging
 import time
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..graphs.model import Graph
 from .labels import label_sim_df
-from .ops import greedy_matching_card_col, greedy_matching_sum_col
-from .reference import FSimConfig
+from .ops import greedy_matching_sum_col
+from .reference import VARIANTS, FSimConfig
 
-_VARIANTS = ("s", "dp", "b", "bj", "simrank")
+_log = logging.getLogger(__name__)
 
-
-def _direction_edges(g: Graph, out: bool, u_name: str, n_name: str) -> DataFrame:
-    src, dst = ("src", "dst") if out else ("dst", "src")
-    return g.edges.select(F.col(src).alias(u_name), F.col(dst).alias(n_name))
+# index directions: out-neighbours, in-neighbours, the pair itself
+_OUT, _IN, _PREV = 0, 1, 2
 
 
 def _norm_expr(variant: str, d1: Column, d2: Column, msum: Column) -> Column:
@@ -66,58 +74,77 @@ def _norm_expr(variant: str, d1: Column, d2: Column, msum: Column) -> Column:
     return F.when((d1 == 0) | (d2 == 0), F.lit(0.0)).otherwise(m / (d1 * d2))
 
 
-def _mapping_sum(variant: str, e1d: DataFrame, e2d: DataFrame,
-                 lookup: DataFrame) -> DataFrame:
-    """Per-(u,v) mapping-operator score sum for one direction.
+def _score_expr(cfg: FSimConfig) -> Column:
+    """Eq. 1 from the per-pair sums ``msum`` (out) and ``msum_in`` (in)."""
+    return (cfg.w_out * _norm_expr(cfg.variant, F.col("do1"), F.col("do2"),
+                                   F.col("msum"))
+            + cfg.w_in * _norm_expr(cfg.variant, F.col("di1"), F.col("di2"),
+                                    F.col("msum_in"))
+            + cfg.w_label * F.col("lsim"))
 
-    ``lookup`` is the previous-iteration score relation renamed to
-    ``(x, y, s)``; absence of a pair means it is ineligible (L < theta),
-    so inner joins implement the label constraint for free.
+
+def _mapping_reduce(variant: str, n: int) -> Callable[[DataFrame], DataFrame]:
+    """A function ``(u, v, d, x, y, s)`` rows -> ``(u, v, msum, msum_in, prev)``.
+
+    It applies the variant's mapping operator to each ``(u, v, d)``
+    group. Rows are shuffled once by ``(u, v)``; every aggregation after
+    that groups by a superset of ``(u, v)``, so none shuffles again.
+    Rows hold only neighbour pairs that are candidates, so an absent
+    ``(x, y)`` is ineligible (L < theta): that is the label constraint.
+    The column expressions are built here, once per run, because each
+    operator costs a Python-to-JVM round trip.
     """
-    rows = e1d.join(lookup, "x").join(e2d, "y")
+    best, total = F.max("s").alias("s"), F.sum("s").alias("m")
     if variant == "s":
-        return (
-            rows.groupBy("u", "v", "x").agg(F.max("s").alias("best"))
-            .groupBy("u", "v").agg(F.sum("best").alias("msum"))
-        )
-    if variant == "b":
-        fwd = (
-            rows.groupBy("u", "v", "x").agg(F.max("s").alias("best"))
-            .groupBy("u", "v").agg(F.sum("best").alias("fsum"))
-        )
-        bwd = (
-            rows.groupBy("u", "v", "y").agg(F.max("s").alias("best"))
-            .groupBy("u", "v").agg(F.sum("best").alias("bsum"))
-        )
-        return fwd.join(bwd, ["u", "v"]).select(
-            "u", "v", (F.col("fsum") + F.col("bsum")).alias("msum")
-        )
-    if variant == "simrank":
-        return rows.groupBy("u", "v").agg(F.sum("s").alias("msum"))
-    # dp / bj: greedy matching inside each (u, v) group
-    agg = rows.groupBy("u", "v").agg(
-        F.collect_list(F.struct("x", "y", "s")).alias("cand")
-    )
-    return agg.select("u", "v", greedy_matching_sum_col("cand").alias("msum"))
+        def per_d(rows: DataFrame) -> DataFrame:
+            return (rows.groupBy("u", "v", "d", "x").agg(best)
+                    .groupBy("u", "v", "d").agg(total))
+    elif variant == "b":
+        # x-side and y-side maxima from one explode; the d = 2 row is
+        # the pair itself and counts once
+        side = F.explode(F.when(F.col("d") == _PREV, F.array(F.lit(0)))
+                         .otherwise(F.array(F.lit(0), F.lit(1)))).alias("side")
+        key = F.when(F.col("side") == 0, F.col("x")).otherwise(F.col("y")).alias("k")
+
+        def per_d(rows: DataFrame) -> DataFrame:
+            return (rows.select("u", "v", "d", "x", "y", "s", side)
+                    .select("u", "v", "d", "side", key, "s")
+                    .groupBy("u", "v", "d", "side", "k").agg(best)
+                    .groupBy("u", "v", "d").agg(total))
+    elif variant == "simrank":
+        def per_d(rows: DataFrame) -> DataFrame:
+            return rows.groupBy("u", "v", "d").agg(total)
+    else:  # dp / bj: greedy matching inside each (u, v, d) group
+        cand = F.collect_list(F.struct("x", "y", "s")).alias("cand")
+        matched = greedy_matching_sum_col("cand").alias("m")
+
+        def per_d(rows: DataFrame) -> DataFrame:
+            return (rows.groupBy("u", "v", "d").agg(cand)
+                    .select("u", "v", "d", matched))
+    d, m = F.col("d"), F.col("m")
+    per_pair = (F.sum(F.when(d == _OUT, m)).alias("msum"),
+                F.sum(F.when(d == _IN, m)).alias("msum_in"),
+                F.max(F.when(d == _PREV, m)).alias("prev"))
+
+    def reduce(rows: DataFrame) -> DataFrame:
+        return per_d(rows.repartition(n, "u", "v")).groupBy("u", "v").agg(*per_pair)
+    return reduce
 
 
-def _mapping_card(variant: str, e1d: DataFrame, e2d: DataFrame,
-                  eligible: DataFrame) -> DataFrame:
-    """|M_chi| per (u,v) under label feasibility only (Eq. 6 upper bound)."""
-    rows = e1d.join(eligible, "x").join(e2d, "y")
-    if variant == "s":
-        return rows.groupBy("u", "v").agg(
-            F.countDistinct("x").cast("double").alias("mcard"))
-    if variant == "b":
-        return rows.groupBy("u", "v").agg(
-            (F.countDistinct("x") + F.countDistinct("y")).cast("double").alias("mcard")
-        )
-    agg = rows.groupBy("u", "v").agg(
-        F.collect_list(F.struct("x", "y", F.lit(1.0).alias("s"))).alias("cand")
-    )
-    return agg.select(
-        "u", "v", greedy_matching_card_col("cand").alias("mcard")
-    )
+def _neighbour_pairs(g1: Graph, g2: Graph, live: DataFrame,
+                     pairs: DataFrame) -> DataFrame:
+    """``(u, v, d, x, y, fs)``: neighbour pairs of each live ``(u, v)``
+    in direction ``d`` whose ``(x, y)`` is a row of ``pairs``."""
+    def by_dir(g: Graph, node: str, nbr: str) -> DataFrame:
+        return (g.out_edges().withColumn("d", F.lit(_OUT))
+                .unionByName(g.in_edges().withColumn("d", F.lit(_IN)))
+                .withColumnsRenamed({"u": node, "nbr": nbr}))
+    targets = pairs.select(F.col("u").alias("x"), F.col("v").alias("y"), "fs")
+    return (live.select("u", "v")
+            .join(by_dir(g1, "u", "x"), "u")
+            .join(by_dir(g2, "v", "y"), ["v", "d"])
+            .join(targets, ["x", "y"])
+            .select("u", "v", "d", "x", "y", "fs"))
 
 
 def _candidates(spark: SparkSession, g1: Graph, g2: Graph,
@@ -136,9 +163,10 @@ def _candidates(spark: SparkSession, g1: Graph, g2: Graph,
         c = d1.join(lsim, "lab1").join(d2, "lab2")
     else:
         n1, n2 = g1.nodes.count(), g2.nodes.count()
-        assert n1 * n2 <= cfg.max_pairs, (
-            f"theta=0 cross product {n1}x{n2} exceeds max_pairs={cfg.max_pairs}; "
-            "raise theta or max_pairs")
+        if n1 * n2 > cfg.max_pairs:
+            raise ValueError(
+                f"theta=0 cross product {n1}x{n2} exceeds "
+                f"max_pairs={cfg.max_pairs}; raise theta or max_pairs")
         c = (d1.crossJoin(d2)
              .join(lsim, ["lab1", "lab2"], "left")
              .withColumn("lsim", F.coalesce("lsim", F.lit(0.0))))
@@ -162,111 +190,103 @@ def fsim_spark(
     ``pin_diagonal`` re-asserts ``score(u, u) = 1`` each iteration
     (SimRank's fixed diagonal).
     """
-    assert cfg.variant in _VARIANTS, cfg.variant
+    if cfg.variant not in VARIANTS:
+        raise ValueError(f"unknown variant {cfg.variant!r}; expected one of "
+                         f"{VARIANTS}")
+    n = int(spark.conf.get("spark.sql.shuffle.partitions"))
     cand = _candidates(spark, g1, g2, cfg).localCheckpoint()
 
-    e1o = _direction_edges(g1, True, "u", "x")
-    e2o = _direction_edges(g2, True, "v", "y")
-    e1i = _direction_edges(g1, False, "u", "x")
-    e2i = _direction_edges(g2, False, "v", "y")
-
-    # ---- upper-bound updating: freeze pairs with ub < beta at alpha*ub
+    pairs = cand.withColumn("fs", F.lit(None).cast("double"))
     frozen = spark.createDataFrame([], schema="u long, v long, score double")
+    # ---- upper-bound updating: freeze pairs with ub < beta at alpha*ub
     if cfg.upper_bound:
-        eligible = cand.select(F.col("u").alias("x"), F.col("v").alias("y"))
-        co = _mapping_card(cfg.variant, e1o, e2o, eligible)
-        ci = (_mapping_card(cfg.variant, e1i, e2i, eligible)
-              .withColumnRenamed("mcard", "mcard_in"))
-        ub_df = (
-            cand.join(co, ["u", "v"], "left").join(ci, ["u", "v"], "left")
-            .withColumn(
-                "ub",
-                cfg.w_out * _norm_expr(cfg.variant, F.col("do1"), F.col("do2"),
-                                       F.col("mcard"))
-                + cfg.w_in * _norm_expr(cfg.variant, F.col("di1"), F.col("di2"),
-                                        F.col("mcard_in"))
-                + cfg.w_label * F.col("lsim"),
-            )
-        )
-        frozen = (
-            ub_df.filter(F.col("ub") < cfg.beta)
-            .select("u", "v", (cfg.alpha * F.col("ub")).alias("score"))
+        ones = _neighbour_pairs(g1, g2, pairs, pairs).withColumn("s", F.lit(1.0))
+        ub = _score_expr(cfg)
+        pairs = (
+            cand.join(_mapping_reduce(cfg.variant, n)(ones), ["u", "v"], "left")
+            .select("u", "v", "lsim", "do1", "di1", "do2", "di2",
+                    F.when(ub < cfg.beta, cfg.alpha * ub).alias("fs"))
             .localCheckpoint()
         )
-        cand = (
-            cand.join(frozen.select("u", "v"), ["u", "v"], "left_anti")
-            .localCheckpoint()
-        )
+        frozen = (pairs.filter(F.col("fs").isNotNull())
+                  .select("u", "v", F.col("fs").alias("score"))
+                  .localCheckpoint())
+
+    # the two static sides, cached: a cached repartition keeps its hash
+    # partitioning, a checkpoint does not. The index is built from the
+    # uncached pairs, so AQE may coalesce the shuffles of its joins.
+    live = pairs.filter(F.col("fs").isNull())
+    index = (
+        _neighbour_pairs(g1, g2, live, pairs)
+        .unionByName(live.select("u", "v", F.lit(_PREV).alias("d"),
+                                 F.col("u").alias("x"), F.col("v").alias("y"),
+                                 "fs"))
+        .repartition(n, "x", "y").cache()
+    )
+    pairs = pairs.repartition(n, "u", "v").cache()
+    live = pairs.filter(F.col("fs").isNull())
 
     scores = (init if init is not None
-              else cand.select("u", "v", F.col("lsim").alias("score")))
+              else live.select("u", "v", F.col("lsim").alias("score")))
     scores = scores.localCheckpoint()
 
-    debug = bool(os.environ.get("REPRO_FSIM_DEBUG"))
+    # the loop's column expressions, built once: each operator costs a
+    # Python-to-JVM round trip
+    score = _score_expr(cfg)
+    if pin_diagonal:
+        score = F.when(F.col("u") == F.col("v"), F.lit(1.0)).otherwise(score)
+    score = score.alias("score")
+    delta = F.abs(F.col("score") - F.coalesce("prev", F.lit(0.0))).alias("delta")
+    lookup_cols = (F.col("u").alias("x"), F.col("v").alias("y"),
+                   F.col("score").alias("s"))
+    # frozen neighbours score fs; a live one absent from the scores
+    # (a partial ``init``) is ineligible this iteration
+    neighbour_s = F.coalesce("fs", "s")
+    reduce = _mapping_reduce(cfg.variant, n)
+
     n_iters = cfg.exact_iters if cfg.exact_iters is not None else cfg.max_iter
     prev_delta: Optional[float] = None
     for it in range(n_iters):
         t_iter = time.time()
-        lookup = scores.unionByName(frozen).select(
-            F.col("u").alias("x"), F.col("v").alias("y"),
-            F.col("score").alias("s"))
-        mo = _mapping_sum(cfg.variant, e1o, e2o, lookup)
-        mi = (_mapping_sum(cfg.variant, e1i, e2i, lookup)
-              .withColumnRenamed("msum", "msum_in"))
-        new = (
-            cand.join(mo, ["u", "v"], "left").join(mi, ["u", "v"], "left")
-            .select(
-                "u", "v",
-                (cfg.w_out * _norm_expr(cfg.variant, F.col("do1"), F.col("do2"),
-                                        F.col("msum"))
-                 + cfg.w_in * _norm_expr(cfg.variant, F.col("di1"), F.col("di2"),
-                                         F.col("msum_in"))
-                 + cfg.w_label * F.col("lsim")).alias("score"),
-            )
+        rows = (index.join(scores.select(*lookup_cols), ["x", "y"], "left")
+                .withColumn("s", neighbour_s)
+                .filter(F.col("s").isNotNull()))
+        scores = (
+            live.join(reduce(rows), ["u", "v"], "left")
+            .select("u", "v", score, "prev")
+            .select("u", "v", "score", delta)
+            .localCheckpoint(eager=True)
         )
-        if pin_diagonal:
-            new = new.withColumn(
-                "score",
-                F.when(F.col("u") == F.col("v"), F.lit(1.0))
-                .otherwise(F.col("score")))
-        new = new.localCheckpoint(eager=True)
+        if cfg.exact_iters is not None:
+            _log.debug("fsim %s iter=%d dt=%.2fs", cfg.variant, it + 1,
+                       time.time() - t_iter)
+            continue
+        max_delta = scores.agg(F.max("delta")).first()[0]
+        _log.debug("fsim %s iter=%d delta=%s dt=%.2fs", cfg.variant, it + 1,
+                   max_delta, time.time() - t_iter)
+        if max_delta is None or max_delta < cfg.eps:
+            break
+        # Oscillation guard: with exact maximum mappings (Theorem 1,
+        # C3) delta contracts by >= (w+ + w-) each iteration. The
+        # greedy dp/bj approximation can instead settle into a
+        # 2-cycle between tied matchings, leaving delta pinned at
+        # the cycle amplitude. A delta that stopped contracting
+        # (changed < 5% — true contraction shrinks it >= 20% at the
+        # paper's weights) is such a cycle: the scores themselves
+        # are stable up to the greedy tie, so stop.
+        if (cfg.variant in ("dp", "bj")
+                and prev_delta is not None and it >= 2
+                and abs(max_delta - prev_delta) < 0.05 * max_delta):
+            _log.debug("fsim %s greedy-tie plateau at delta=%s; stopping",
+                       cfg.variant, max_delta)
+            break
+        prev_delta = max_delta
+    else:
         if cfg.exact_iters is None:
-            delta = (
-                new.join(scores.withColumnRenamed("score", "prev"), ["u", "v"])
-                .agg(F.max(F.abs(F.col("score") - F.col("prev"))))
-                .first()[0]
-            )
-            scores = new
-            if debug:
-                print(f"[fsim {cfg.variant}] iter={it + 1} delta={delta} "
-                      f"dt={time.time() - t_iter:.2f}s", file=sys.stderr)
-            if delta is None or delta < cfg.eps:
-                break
-            # Oscillation guard: with exact maximum mappings (Theorem 1,
-            # C3) delta contracts by >= (w+ + w-) each iteration. The
-            # greedy dp/bj approximation can instead settle into a
-            # 2-cycle between tied matchings, leaving delta pinned at
-            # the cycle amplitude. A delta that stopped contracting
-            # (changed < 5% — true contraction shrinks it >= 20% at the
-            # paper's weights) is such a cycle: the scores themselves
-            # are stable up to the greedy tie, so stop.
-            if (cfg.variant in ("dp", "bj")
-                    and prev_delta is not None and it >= 2
-                    and abs(delta - prev_delta) < 0.05 * delta):
-                if debug:
-                    print(f"[fsim {cfg.variant}] greedy-tie plateau at "
-                          f"delta={delta}; stopping", file=sys.stderr)
-                break
-            prev_delta = delta
-        else:
-            scores = new
-            if debug:
-                print(f"[fsim {cfg.variant}] iter={it + 1} "
-                      f"dt={time.time() - t_iter:.2f}s", file=sys.stderr)
+            _log.warning("fsim %s stopped at max_iter=%d with delta=%s, "
+                         "not below eps=%s", cfg.variant, cfg.max_iter,
+                         prev_delta, cfg.eps)
+    pairs.unpersist()
+    index.unpersist()
+    scores = scores.select("u", "v", "score")
     return (scores, frozen) if return_frozen else scores
-
-
-def fsim_scores_pd(spark: SparkSession, g1: Graph, g2: Graph,
-                   cfg: FSimConfig, **kw):
-    """Convenience: run the engine and collect ``(u, v, score)`` to pandas."""
-    return fsim_spark(spark, g1, g2, cfg, **kw).toPandas()

@@ -19,6 +19,9 @@ from .ops import greedy_matching, greedy_matching_cardinality
 
 Pair = Tuple[int, int]
 
+# 'simrank' is the Section-4.3 configuration (Spark engine only)
+VARIANTS = ("s", "dp", "b", "bj", "simrank")
+
 
 @dataclass
 class FSimConfig:
@@ -47,11 +50,17 @@ class FSimConfig:
     max_pairs: int = 5_000_000
 
     def __post_init__(self) -> None:
-        # 'simrank' is the Section-4.3 configuration (Spark engine only)
-        assert self.variant in ("s", "dp", "b", "bj", "simrank"), self.variant
-        assert 0.0 <= self.w_out < 1.0 and 0.0 <= self.w_in < 1.0
-        assert 0.0 < self.w_out + self.w_in < 1.0
-        assert 0.0 <= self.theta <= 1.0
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; expected one "
+                             f"of {VARIANTS}")
+        if not (0.0 <= self.w_out < 1.0 and 0.0 <= self.w_in < 1.0):
+            raise ValueError(f"w_out={self.w_out} and w_in={self.w_in} must "
+                             "each lie in [0, 1)")
+        if not 0.0 < self.w_out + self.w_in < 1.0:
+            raise ValueError(f"w_out + w_in = {self.w_out + self.w_in} must lie "
+                             "in (0, 1)")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValueError(f"theta={self.theta} must lie in [0, 1]")
 
     @property
     def w_label(self) -> float:
@@ -113,12 +122,12 @@ def _mapping_sum(
     xs: List[int] = []
     ys: List[int] = []
     ss: List[float] = []
-    for i, x in enumerate(s1):
-        for j, y in enumerate(s2):
+    for x in s1:
+        for y in s2:
             v = score.get((x, y))
             if v is not None:
-                xs.append(i)
-                ys.append(j)
+                xs.append(x)
+                ys.append(y)
                 ss.append(v)
     return greedy_matching(xs, ys, ss)[0]
 
@@ -150,11 +159,11 @@ def _label_feasible_card(variant: str, s1: List[int], s2: List[int],
         return (sum(1 for x in s1 if any((x, y) in eligible for y in s2))
                 + sum(1 for y in s2 if any((x, y) in eligible for x in s1)))
     xs, ys = [], []
-    for i, x in enumerate(s1):
-        for j, y in enumerate(s2):
+    for x in s1:
+        for y in s2:
             if (x, y) in eligible:
-                xs.append(i)
-                ys.append(j)
+                xs.append(x)
+                ys.append(y)
     return greedy_matching_cardinality(xs, ys)
 
 
@@ -184,7 +193,9 @@ def fsim_reference(
             s = fn(lu, lv)
             if s >= cfg.theta:
                 lsim[(u, v)] = s
-    assert len(lsim) <= cfg.max_pairs, "candidate set too large"
+    if len(lsim) > cfg.max_pairs:
+        raise ValueError(f"{len(lsim)} candidate pairs exceed "
+                         f"max_pairs={cfg.max_pairs}; raise theta or max_pairs")
 
     frozen: Dict[Pair, float] = {}
     cand = dict(lsim)

@@ -1,10 +1,12 @@
 """The distributed FSim engine vs the pure-Python reference, plus engine-
-level properties (P2, theta, upper-bound mode).
+level properties (P2, theta, upper-bound mode), the max_iter warning and
+the shape of one iteration's physical plan.
 
 Equivalence runs use ``exact_iters`` so both implementations perform the
 same number of iterations (eps-converged dp/bj runs may stop at
 different phases of a greedy-tie cycle; see DESIGN.md).
 """
+import logging
 import random
 
 import pytest
@@ -107,7 +109,7 @@ class TestEngineProperties:
     def test_max_pairs_guard(self, spark):
         l1, e1 = random_graph(1, n=12)
         cfg = FSimConfig(variant="s", theta=0.0, exact_iters=1, max_pairs=10)
-        with pytest.raises(AssertionError, match="max_pairs"):
+        with pytest.raises(ValueError, match="max_pairs"):
             spark_scores(spark, l1, e1, l1, e1, cfg)
 
     def test_symmetry_of_bj_on_spark(self, spark):
@@ -116,3 +118,70 @@ class TestEngineProperties:
         bwd = spark_scores(spark, G2_LABELS, G2_EDGES, G1_LABELS, G1_EDGES, cfg)
         for (u, v), s in fwd.items():
             assert s == pytest.approx(bwd[(v, u)], abs=1e-9)
+
+    def test_warns_when_max_iter_is_reached(self, spark, caplog):
+        def warnings(eps):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.core.fsim"):
+                spark_scores(spark, G1_LABELS, G1_EDGES, G2_LABELS, G2_EDGES,
+                             FSimConfig(variant="s", eps=eps, max_iter=2))
+            return [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert any("max_iter=2" in m for m in warnings(1e-12))
+        assert warnings(0.5) == []
+
+
+@pytest.mark.parametrize("variant", ["dp", "bj"])
+def test_greedy_ties_ignore_edge_order(spark, variant):
+    """dp/bj greedy ties are broken by node id in the engine and the
+    reference alike, so the order of the edge list cannot matter."""
+    lab, edges = random_graph(2)
+    random.Random(2).shuffle(edges)
+    cfg = FSimConfig(variant=variant, theta=0.0, exact_iters=3)
+    got = spark_scores(spark, lab, edges, lab, edges, cfg)
+    assert_same(got, fsim_reference(lab, edges, lab, edges, cfg).scores)
+
+
+def _exchanges_and_cache_sides(plan, since_join=(), out=None):
+    """Shuffle origins in an executed plan, and for each cached-table
+    scan whether a shuffle sits between it and the join it feeds. Does
+    not descend into the cached relations themselves."""
+    if out is None:
+        out = ([], [])
+    name = plan.getClass().getSimpleName()
+    if name == "AdaptiveSparkPlanExec":
+        return _exchanges_and_cache_sides(plan.executedPlan(), since_join, out)
+    if name.endswith("QueryStageExec"):
+        return _exchanges_and_cache_sides(plan.plan(), since_join, out)
+    if name == "ShuffleExchangeExec":
+        out[0].append(plan.shuffleOrigin().toString())
+    if name == "InMemoryTableScanExec":
+        out[1].append("ShuffleExchangeExec" in since_join)
+    since_join = () if name.endswith("JoinExec") else since_join + (name,)
+    kids = plan.children()
+    for i in range(kids.size()):
+        _exchanges_and_cache_sides(kids.apply(i), since_join, out)
+    return out
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_iteration_shuffles_only_the_scores(spark, monkeypatch, variant):
+    """One iteration moves the scores to the cached index (one
+    ENSURE_REQUIREMENTS exchange) and regroups by (u, v) (one
+    REPARTITION_BY_NUM); the cached index and pair table never move."""
+    cls = type(spark.range(1))
+    checkpointed = []
+    orig = cls.localCheckpoint
+
+    def record(df, *args, **kwargs):
+        checkpointed.append(df)
+        return orig(df, *args, **kwargs)
+    monkeypatch.setattr(cls, "localCheckpoint", record)
+    g1, g2 = figure1_graphs(spark)
+    fsim_spark(spark, g1, g2, FSimConfig(variant=variant, exact_iters=2))
+    # the last checkpoint is the second iteration, after the caches filled
+    plan = checkpointed[-1]._jdf.queryExecution().executedPlan()
+    exchanges, cache_sides_shuffled = _exchanges_and_cache_sides(plan)
+    assert sorted(exchanges) == ["ENSURE_REQUIREMENTS", "REPARTITION_BY_NUM"]
+    assert len(cache_sides_shuffled) == 2
+    assert not any(cache_sides_shuffled)

@@ -200,15 +200,15 @@ class TestInitOverride:
 
 class TestConfigValidation:
     def test_rejects_bad_variant(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             FSimConfig(variant="nope")
 
     def test_rejects_weights_sum_one(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             FSimConfig(variant="s", w_out=0.5, w_in=0.5)
 
     def test_rejects_zero_weights(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             FSimConfig(variant="s", w_out=0.0, w_in=0.0)
 
     def test_w_label_property(self):
