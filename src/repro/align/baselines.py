@@ -21,7 +21,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
-from ..exact.kbisim import kbisim_signatures
+from ..exact.kbisim import kbisim_refine, kbisim_signatures
 from ..graphs.model import Graph
 from .harness import f1_alignment
 
@@ -50,8 +50,15 @@ def kbisim_align_f1(spark: SparkSession, g1: Graph, g2: Graph, k: int) -> float:
 def olap_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
                   max_k: int = 5) -> float:
     """Best-effort bisimulation alignment: deepest level with matches."""
-    sig1 = [kbisim_signatures(spark, g1, k).toPandas() for k in range(max_k + 1)]
-    sig2 = [kbisim_signatures(spark, g2, k).toPandas() for k in range(max_k + 1)]
+    def levels(g: Graph) -> List[pd.DataFrame]:
+        sig = kbisim_signatures(spark, g, 0)
+        out = [sig.toPandas()]
+        for _ in range(max_k):
+            sig = kbisim_refine(g, sig)
+            out.append(sig.toPandas())
+        return out
+
+    sig1, sig2 = levels(g1), levels(g2)
     by_sig = []
     for s2 in sig2:
         d: Dict[str, Set[int]] = {}

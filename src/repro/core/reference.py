@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..graphs.model import AdjGraph
 from .labels import LABEL_FNS
 from .ops import greedy_matching, greedy_matching_cardinality
 
@@ -65,24 +66,6 @@ class FSimConfig:
     @property
     def w_label(self) -> float:
         return 1.0 - self.w_out - self.w_in
-
-
-@dataclass
-class PyGraph:
-    """Driver-side graph: labels + out/in adjacency."""
-
-    label: Dict[int, str]
-    out: Dict[int, List[int]]
-    inn: Dict[int, List[int]]
-
-    @staticmethod
-    def build(labels: Dict[int, str], edges: List[Pair]) -> "PyGraph":
-        out: Dict[int, List[int]] = {u: [] for u in labels}
-        inn: Dict[int, List[int]] = {u: [] for u in labels}
-        for s, d in edges:
-            out[s].append(d)
-            inn[d].append(s)
-        return PyGraph(dict(labels), out, inn)
 
 
 def _mapping_sum(
@@ -183,8 +166,8 @@ def fsim_reference(
     init: Optional[Dict[Pair, float]] = None,
 ) -> FSimResult:
     """Compute FSim_chi(u, v) for all candidate pairs (reference semantics)."""
-    g1 = PyGraph.build(labels1, edges1)
-    g2 = PyGraph.build(labels2, edges2)
+    g1 = AdjGraph(labels1, edges1)
+    g2 = AdjGraph(labels2, edges2)
     fn = LABEL_FNS[cfg.label_fn] if isinstance(cfg.label_fn, str) else cfg.label_fn
 
     lsim: Dict[Pair, float] = {}

@@ -27,34 +27,42 @@ Pair = Tuple[int, int]
 def kbisim_signatures(spark: SparkSession, g: Graph, k: int) -> DataFrame:
     """Per-node k-bisimulation signature: DataFrame ``(id, sig)``.
 
-    ``sig_0 = label``; ``sig_i = H(sig_{i-1} || sorted *set* of
-    out-neighbors' sig_{i-1})`` — two nodes are k-bisimilar iff their
-    ``sig_k`` match [21]. The neighborhood is a set, not a multiset
-    (Theorem 4's proof: "the set of signature values in u's
-    neighborhood"), matching FSim_b's reuse-allowing mapping.
+    ``sig_0 = label``; ``sig_i = kbisim_refine(g, sig_{i-1})``. Two
+    nodes are k-bisimilar iff their ``sig_k`` match [21].
     """
     sig = g.nodes.select("id", F.col("label").alias("sig"))
     for _ in range(k):
-        nbsig = (
-            g.edges.join(
-                sig.select(F.col("id").alias("dst"), F.col("sig").alias("nsig")),
-                "dst",
-            )
-            .groupBy(F.col("src").alias("id"))
-            .agg(F.sort_array(F.collect_set("nsig")).alias("nsigs"))
-        )
-        sig = (
-            sig.join(nbsig, "id", "left")
-            .select(
-                "id",
-                F.sha2(
-                    F.concat_ws("|", F.col("sig"), F.concat_ws(",", "nsigs")),
-                    256,
-                ).alias("sig"),
-            )
-            .localCheckpoint()
-        )
+        sig = kbisim_refine(g, sig)
     return sig
+
+
+def kbisim_refine(g: Graph, sig: DataFrame) -> DataFrame:
+    """One refinement round: ``sig_i = H(sig_{i-1} || sorted *set* of
+    out-neighbors' sig_{i-1})``, from ``sig_{i-1}`` as ``(id, sig)``.
+
+    The neighborhood is a set, not a multiset (Theorem 4's proof: "the
+    set of signature values in u's neighborhood"), matching FSim_b's
+    reuse-allowing mapping.
+    """
+    nbsig = (
+        g.edges.join(
+            sig.select(F.col("id").alias("dst"), F.col("sig").alias("nsig")),
+            "dst",
+        )
+        .groupBy(F.col("src").alias("id"))
+        .agg(F.sort_array(F.collect_set("nsig")).alias("nsigs"))
+    )
+    return (
+        sig.join(nbsig, "id", "left")
+        .select(
+            "id",
+            F.sha2(
+                F.concat_ws("|", F.col("sig"), F.concat_ws(",", "nsigs")),
+                256,
+            ).alias("sig"),
+        )
+        .localCheckpoint()
+    )
 
 
 def kbisim_pairs(spark: SparkSession, g: Graph, k: int) -> DataFrame:

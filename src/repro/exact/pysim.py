@@ -23,12 +23,12 @@ from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.ops import kuhn_saturating
-from ..core.reference import PyGraph
+from ..graphs.model import AdjGraph
 
 Pair = Tuple[int, int]
 
 
-def _cond_holds(variant: str, g1: PyGraph, g2: PyGraph, u: int, v: int,
+def _cond_holds(variant: str, g1: AdjGraph, g2: AdjGraph, u: int, v: int,
                 r: Set[Pair]) -> bool:
     """Does (u, v) satisfy the variant's neighbor conditions w.r.t. R?"""
     def sim_forward(n1: List[int], n2: List[int]) -> bool:
@@ -65,8 +65,8 @@ def exact_simulation_py(
     variant: str = "s",
 ) -> Set[Pair]:
     """The maximal chi-simulation relation R between two graphs."""
-    g1 = PyGraph.build(labels1, edges1)
-    g2 = PyGraph.build(labels2, edges2)
+    g1 = AdjGraph(labels1, edges1)
+    g2 = AdjGraph(labels2, edges2)
     r: Set[Pair] = {
         (u, v)
         for u, lu in g1.label.items()
@@ -101,7 +101,7 @@ def maximal_dual_sim(
     ``restrict`` limits data nodes (the ball). Returns cand[q]; the
     relation is {(q, w) : w in cand[q]} and is empty-able per node.
     """
-    q = PyGraph.build(qlabels, qedges)
+    q = AdjGraph(qlabels, qedges)
     nodes = restrict if restrict is not None else set(dlabel)
     cand: Dict[int, Set[int]] = {
         qq: {w for w in nodes if dlabel[w] == ql} for qq, ql in q.label.items()

@@ -25,10 +25,7 @@ from pyspark.sql.types import BooleanType
 from ..core.ops import kuhn_saturating
 from ..graphs.model import Graph
 
-
-def _dir_edges(g: Graph, out: bool, u: str, n: str) -> DataFrame:
-    s, d = ("src", "dst") if out else ("dst", "src")
-    return g.edges.select(F.col(s).alias(u), F.col(d).alias(n))
+VARIANTS = ("s", "dp", "b", "bj")
 
 
 @F.pandas_udf(BooleanType())
@@ -109,15 +106,19 @@ def _matching_keep(r: DataFrame, e1d: DataFrame, e2d: DataFrame,
 def exact_simulation_spark(spark: SparkSession, g1: Graph, g2: Graph,
                            variant: str = "s", max_rounds: int = 200) -> DataFrame:
     """Maximal chi-simulation relation R as a DataFrame ``(u, v)``."""
-    assert variant in ("s", "dp", "b", "bj")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of "
+                         f"{VARIANTS}")
     r = (
         g1.nodes.select(F.col("id").alias("u"), "label")
         .join(g2.nodes.select(F.col("id").alias("v"), "label"), "label")
         .select("u", "v")
         .localCheckpoint()
     )
-    e1o, e2o = _dir_edges(g1, True, "u", "x"), _dir_edges(g2, True, "v", "y")
-    e1i, e2i = _dir_edges(g1, False, "u", "x"), _dir_edges(g2, False, "v", "y")
+    e1o = g1.out_edges().withColumnsRenamed({"nbr": "x"})
+    e1i = g1.in_edges().withColumnsRenamed({"nbr": "x"})
+    e2o = g2.out_edges().withColumnsRenamed({"u": "v", "nbr": "y"})
+    e2i = g2.in_edges().withColumnsRenamed({"u": "v", "nbr": "y"})
     d1 = g1.degrees()
     d2 = g2.degrees()
     d1o = d1.select(F.col("id").alias("u"), F.col("dout").alias("d1"))

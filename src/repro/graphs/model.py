@@ -9,13 +9,13 @@ Here a :class:`Graph` holds two DataFrames:
 
 All downstream algorithms (FSim, exact simulation, k-bisimulation, the
 case-study baselines) consume this representation. Helpers compute
-degrees and the Table-4 statistics, and convert to/from pandas for the
-small driver-side kernels (toy graphs, per-query baselines).
+degrees and the Table-4 statistics. :class:`AdjGraph` is the
+driver-side adjacency-list form for the small Python kernels.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -106,54 +106,42 @@ class Graph:
         }
 
     def validate(self) -> None:
-        """Assert structural invariants: unique ids, edges reference nodes."""
+        """Raise ``ValueError`` on duplicate node ids or dangling edge endpoints."""
         n = self.nodes.count()
-        assert self.nodes.select("id").distinct().count() == n, "duplicate node ids"
+        n_ids = self.nodes.select("id").distinct().count()
+        if n_ids != n:
+            raise ValueError(f"{n - n_ids} duplicate node ids")
         ids = self.nodes.select("id")
         dangling = (
             self.edges.join(ids, self.edges.src == ids.id, "left_anti").count()
             + self.edges.join(ids, self.edges.dst == ids.id, "left_anti").count()
         )
-        assert dangling == 0, f"{dangling} dangling edge endpoints"
-
-    # -------------------------------------------------------------- driver
-    def to_pandas(self) -> Tuple[pd.DataFrame, pd.DataFrame]:
-        """Collect (nodes, edges) to pandas — for small driver-side kernels."""
-        return self.nodes.toPandas(), self.edges.toPandas()
-
-    def to_adj(self) -> "AdjGraph":
-        """Collect into a driver-side adjacency representation."""
-        nodes_pd, edges_pd = self.to_pandas()
-        return AdjGraph.build(nodes_pd, edges_pd)
+        if dangling:
+            raise ValueError(f"{dangling} dangling edge endpoints")
 
 
-@dataclass
 class AdjGraph:
-    """Driver-side adjacency-list view used by per-query Python kernels.
+    """Driver-side adjacency lists, for the small Python kernels.
 
-    ``out``/``inn`` map node id -> list of out-/in-neighbors; ``label``
-    maps node id -> label string. Built once, then broadcast to
-    executors for workload-parallel baselines (strong simulation, TSpan,
-    NAGA-like, G-Finder-like).
+    ``label`` maps node id -> label; ``out``/``inn`` map node id -> its
+    out-/in-neighbours in edge order. Built from a ``{id: label}`` map
+    and ``(src, dst)`` pairs. Used by the FSim reference, the exact
+    Python simulation and the per-query baselines (broadcast to
+    executors for strong simulation, TSpan, NAGA-like, G-Finder-like).
     """
 
-    label: Dict[int, str]
-    out: Dict[int, List[int]]
-    inn: Dict[int, List[int]]
+    def __init__(self, labels: Mapping[int, str],
+                 edges: Iterable[Tuple[int, int]]) -> None:
+        self.label: Dict[int, str] = dict(labels)
+        self.out: Dict[int, List[int]] = {u: [] for u in self.label}
+        self.inn: Dict[int, List[int]] = {u: [] for u in self.label}
+        for s, d in edges:
+            self.out[s].append(d)
+            self.inn[d].append(s)
 
     @staticmethod
     def build(nodes_pd: pd.DataFrame, edges_pd: pd.DataFrame) -> "AdjGraph":
-        label = dict(zip(nodes_pd["id"].astype(int), nodes_pd["label"]))
-        out: Dict[int, List[int]] = {i: [] for i in label}
-        inn: Dict[int, List[int]] = {i: [] for i in label}
-        for s, d in zip(edges_pd["src"].astype(int), edges_pd["dst"].astype(int)):
-            out[s].append(d)
-            inn[d].append(s)
-        return AdjGraph(label, out, inn)
-
-    def nodes(self) -> List[int]:
-        return list(self.label.keys())
-
-    def undirected(self, u: int) -> List[int]:
-        """Neighbors ignoring direction (deduplicated)."""
-        return sorted(set(self.out[u]) | set(self.inn[u]))
+        """From pandas frames (``id,label`` / ``src,dst``)."""
+        return AdjGraph(
+            dict(zip(nodes_pd["id"].astype(int), nodes_pd["label"])),
+            zip(edges_pd["src"].astype(int), edges_pd["dst"].astype(int)))

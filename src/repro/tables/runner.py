@@ -1,9 +1,9 @@
-"""Shared plumbing for the ``jobs/`` spark-submit entrypoints.
+"""The one Spark session builder, and table output.
 
-Each job builds a local SparkSession configured like the pytest fixture
-(broadcast joins disabled, Arrow on), runs one table driver, prints the
-paper-vs-measured frame, and writes ``results/<name>.csv`` + a markdown
-snippet for EXPERIMENTS.md.
+``make_session`` builds every SparkSession in the repository: the table
+entrypoint (``python -m repro.tables``), the pytest fixture and the
+benchmark all measure the same config. ``emit`` prints a table and
+writes ``<name>.csv`` plus a markdown snippet for EXPERIMENTS.md.
 """
 from __future__ import annotations
 
@@ -16,6 +16,14 @@ from pyspark.sql import SparkSession
 
 
 def make_session(app: str) -> SparkSession:
+    """A local SparkSession: ``local[*]`` or ``$SPARK_MASTER``, driver
+    memory ``$SPARK_DRIVER_MEM`` or 8g, ``$SPARK_SHUFFLE_PARTITIONS`` or
+    16 shuffle partitions, Arrow on, broadcast joins off (so joins take
+    the shuffle path), log level ERROR.
+
+    Master and driver memory are read at JVM launch, so they go into
+    ``PYSPARK_SUBMIT_ARGS``; they take effect only if no JVM is running.
+    """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -49,7 +57,8 @@ def to_markdown(df: pd.DataFrame) -> str:
 
 
 def emit(df: pd.DataFrame, name: str, outdir: str | None = None) -> None:
-    """Print the table and persist CSV + markdown under ``results/``."""
+    """Print the table and persist CSV + markdown under ``outdir``
+    (default ``$REPRO_RESULTS_DIR`` or ``results/``)."""
     out = Path(outdir or os.environ.get("REPRO_RESULTS_DIR", "results"))
     out.mkdir(parents=True, exist_ok=True)
     print(f"\n=== {name} ===", file=sys.stderr)

@@ -55,3 +55,10 @@ class TestFixpointProperties:
         l, e = random_graph(14)
         got = spark_relation(spark, l, e, l, e, "b")
         assert {(v, u) for (u, v) in got} == got
+
+
+def test_unknown_variant_raises(spark):
+    # simrank is an engine configuration, not an exact simulation
+    with pytest.raises(ValueError, match="simrank"):
+        spark_relation(spark, G1_LABELS, G1_EDGES, G2_LABELS, G2_EDGES,
+                       "simrank")

@@ -41,7 +41,16 @@ class TestConstruction:
             pd.DataFrame({"id": [0], "label": ["A"]}),
             pd.DataFrame({"src": [0], "dst": [99]}),
         )
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
+            graph.validate()
+
+    def test_validate_catches_duplicate_ids(self, spark):
+        graph = Graph.from_pandas(
+            spark,
+            pd.DataFrame({"id": [0, 0], "label": ["A", "B"]}),
+            pd.DataFrame({"src": [], "dst": []}),
+        )
+        with pytest.raises(ValueError, match="duplicate"):
             graph.validate()
 
 
@@ -88,14 +97,10 @@ class TestStats:
 
 class TestAdjGraph:
     def test_round_trip(self, g):
-        graph, nodes, edges = g
-        adj = graph.to_adj()
-        assert set(adj.nodes()) == set(nodes.id)
-        assert sum(len(v) for v in adj.out.values()) == len(edges)
-        assert sum(len(v) for v in adj.inn.values()) == len(edges)
-
-    def test_undirected_dedup(self):
-        nodes = pd.DataFrame({"id": [0, 1], "label": ["A", "B"]})
-        edges = pd.DataFrame({"src": [0, 1], "dst": [1, 0]})
+        _, nodes, edges = g
         adj = AdjGraph.build(nodes, edges)
-        assert adj.undirected(0) == [1]
+        assert adj.label == dict(zip(nodes.id, nodes.label))
+        assert sorted((s, d) for s in adj.out for d in adj.out[s]) \
+            == sorted(zip(edges.src, edges.dst))
+        assert sorted((s, d) for d in adj.inn for s in adj.inn[d]) \
+            == sorted(zip(edges.src, edges.dst))

@@ -1,14 +1,31 @@
 """Every table driver produces a well-formed paper-vs-measured frame at
 micro scale, and Table 2's verdict grid matches the paper exactly."""
+from pathlib import Path
+
+import pandas as pd
 import pytest
 
-from repro.tables import table2, table4, table5, table6, table7, table8, table9
+from repro.tables import table4, table5, table6, table7, table8, table9
+from repro.tables.__main__ import run_tables
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
 class TestTable2:
     @pytest.fixture(scope="class")
-    def df(self, spark):
-        return table2.run(spark, eps=1e-2)
+    def out(self, spark, tmp_path_factory):
+        """Table 2 as the entrypoint writes it."""
+        out = tmp_path_factory.mktemp("results")
+        run_tables(spark, ["table2"], outdir=str(out))
+        return out
+
+    @pytest.fixture(scope="class")
+    def df(self, out):
+        return pd.read_csv(out / "table2.csv")
+
+    def test_matches_committed_results(self, out):
+        assert ((out / "table2.csv").read_text()
+                == (RESULTS / "table2.csv").read_text())
 
     def test_shape(self, df):
         assert len(df) == 16  # 4 variants x 4 pairs
