@@ -16,17 +16,25 @@ candidate pairs is static. So one run builds two cached frames once:
   row ``(x, y) = (u, v)`` that carries the previous score into the same
   pass; hash-partitioned by ``(x, y)``.
 
+Both use one partition count ``n = min(spark.sql.shuffle.partitions,
+defaultParallelism)``, as does each iteration's regrouping by
+``(u, v)``, so the three stay co-partitioned. AQE does not coalesce
+these fixed-count shuffles; capping ``n`` at the core count runs one
+task per core per stage.
+
 One iteration is then a single pass with two shuffles: the checkpointed
 scores, renamed to ``(x, y, s)``, join P (only the scores side moves);
-``repartition(u, v)`` groups each pair's rows; the variant's mapping
+``repartition(n, u, v)`` groups each pair's rows; the variant's mapping
 operator reduces them (groupBy-max/sum for s and b, and for dp/bj a
 greedy max-weight matching, Section 4.2's "greedy approximate of
 Hungarian", as a Catalyst higher-order fold over the collected
 candidate array, so the loop never starts a Python worker); a left join
 onto the co-partitioned pair table normalises. One eager
-``localCheckpoint`` truncates lineage and one ``first`` reads
-``max |score - prev|``; the loop stops when it is below ``eps``
-(Theorem 1 guarantees contraction by a factor of w+ + w-).
+``localCheckpoint`` truncates lineage and is the iteration's only Spark
+action: an ``Observation`` on it reads ``max |score - prev|``. The loop
+stops when that is below ``eps`` (Theorem 1 guarantees contraction by a
+factor of w+ + w-), or, for dp/bj, when a greedy-tie cycle pins it
+(``greedy_tie_plateau``).
 
 Upper-bound updating (Section 3.4): the Eq.-6 cardinalities are the
 same reduce over the same neighbour pairs with every score set to 1.
@@ -41,15 +49,15 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from ..graphs.model import Graph
 from .labels import label_sim_df
 from .ops import greedy_matching_sum_col
-from .reference import VARIANTS, FSimConfig
+from .reference import VARIANTS, FSimConfig, greedy_tie_plateau
 
 _log = logging.getLogger(__name__)
 
@@ -193,7 +201,10 @@ def fsim_spark(
     if cfg.variant not in VARIANTS:
         raise ValueError(f"unknown variant {cfg.variant!r}; expected one of "
                          f"{VARIANTS}")
-    n = int(spark.conf.get("spark.sql.shuffle.partitions"))
+    # one task per core per stage: AQE does not coalesce these
+    # fixed-count shuffles, so more partitions than cores only add tasks
+    n = min(int(spark.conf.get("spark.sql.shuffle.partitions")),
+            spark.sparkContext.defaultParallelism)
     cand = _candidates(spark, g1, g2, cfg).localCheckpoint()
 
     pairs = cand.withColumn("fs", F.lit(None).cast("double"))
@@ -237,6 +248,7 @@ def fsim_spark(
         score = F.when(F.col("u") == F.col("v"), F.lit(1.0)).otherwise(score)
     score = score.alias("score")
     delta = F.abs(F.col("score") - F.coalesce("prev", F.lit(0.0))).alias("delta")
+    max_delta_col = F.max("delta").alias("max_delta")
     lookup_cols = (F.col("u").alias("x"), F.col("v").alias("y"),
                    F.col("score").alias("s"))
     # frozen neighbours score fs; a live one absent from the scores
@@ -245,47 +257,46 @@ def fsim_spark(
     reduce = _mapping_reduce(cfg.variant, n)
 
     n_iters = cfg.exact_iters if cfg.exact_iters is not None else cfg.max_iter
-    prev_delta: Optional[float] = None
+    deltas: List[float] = []
     for it in range(n_iters):
         t_iter = time.time()
         rows = (index.join(scores.select(*lookup_cols), ["x", "y"], "left")
                 .withColumn("s", neighbour_s)
                 .filter(F.col("s").isNotNull()))
+        # the checkpoint's own job fills the observation with max delta
+        obs = Observation()
         scores = (
             live.join(reduce(rows), ["u", "v"], "left")
             .select("u", "v", score, "prev")
             .select("u", "v", "score", delta)
+            .observe(obs, max_delta_col)
             .localCheckpoint(eager=True)
         )
         if cfg.exact_iters is not None:
             _log.debug("fsim %s iter=%d dt=%.2fs", cfg.variant, it + 1,
                        time.time() - t_iter)
             continue
-        max_delta = scores.agg(F.max("delta")).first()[0]
+        max_delta = obs.get["max_delta"]
         _log.debug("fsim %s iter=%d delta=%s dt=%.2fs", cfg.variant, it + 1,
                    max_delta, time.time() - t_iter)
         if max_delta is None or max_delta < cfg.eps:
             break
         # Oscillation guard: with exact maximum mappings (Theorem 1,
         # C3) delta contracts by >= (w+ + w-) each iteration. The
-        # greedy dp/bj approximation can instead settle into a
-        # 2-cycle between tied matchings, leaving delta pinned at
-        # the cycle amplitude. A delta that stopped contracting
-        # (changed < 5% — true contraction shrinks it >= 20% at the
-        # paper's weights) is such a cycle: the scores themselves
-        # are stable up to the greedy tie, so stop.
-        if (cfg.variant in ("dp", "bj")
-                and prev_delta is not None and it >= 2
-                and abs(max_delta - prev_delta) < 0.05 * max_delta):
+        # greedy dp/bj approximation can instead cycle between tied
+        # matchings, pinning delta at one amplitude or alternating
+        # between two; the scores are then stable up to the greedy
+        # tie, so stop.
+        if cfg.variant in ("dp", "bj") and greedy_tie_plateau(max_delta, deltas):
             _log.debug("fsim %s greedy-tie plateau at delta=%s; stopping",
                        cfg.variant, max_delta)
             break
-        prev_delta = max_delta
+        deltas.append(max_delta)
     else:
         if cfg.exact_iters is None:
             _log.warning("fsim %s stopped at max_iter=%d with delta=%s, "
                          "not below eps=%s", cfg.variant, cfg.max_iter,
-                         prev_delta, cfg.eps)
+                         deltas[-1] if deltas else None, cfg.eps)
     pairs.unpersist()
     index.unpersist()
     scores = scores.select("u", "v", "score")

@@ -150,6 +150,17 @@ def _label_feasible_card(variant: str, s1: List[int], s2: List[int],
     return greedy_matching_cardinality(xs, ys)
 
 
+def greedy_tie_plateau(delta: float, earlier: List[float]) -> bool:
+    """Whether a dp/bj run's ``delta`` has stopped contracting: it lies
+    within 5% of the delta one or two iterations back (``earlier`` holds
+    the previous iterations' deltas, oldest first; at least two are
+    needed). The greedy matching can cycle between tied matchings with
+    period 1 or 2; under true contraction delta_t <= (w+ + w-)^2 *
+    delta_{t-2}, so neither comparison can hold there."""
+    return len(earlier) >= 2 and any(abs(delta - d) < 0.05 * delta
+                                     for d in earlier[-2:])
+
+
 @dataclass
 class FSimResult:
     scores: Dict[Pair, float]
@@ -200,7 +211,7 @@ def fsim_reference(
 
     n_iters = cfg.exact_iters if cfg.exact_iters is not None else cfg.max_iter
     it = 0
-    prev_delta: Optional[float] = None
+    deltas: List[float] = []
     for it in range(1, n_iters + 1):
         cur: Dict[Pair, float] = {}
         for (u, v), l in cand.items():
@@ -217,13 +228,11 @@ def fsim_reference(
             if delta < cfg.eps:
                 break
             # greedy-tie plateau guard — mirrors the Spark engine: the
-            # dp/bj greedy matching can 2-cycle between tied matchings,
+            # dp/bj greedy matching can cycle between tied matchings,
             # pinning delta above eps; a delta that stopped contracting
             # means the scores are stable up to the tie.
-            if (cfg.variant in ("dp", "bj")
-                    and prev_delta is not None and it >= 3
-                    and abs(delta - prev_delta) < 0.05 * delta):
+            if cfg.variant in ("dp", "bj") and greedy_tie_plateau(delta, deltas):
                 break
-            prev_delta = delta
+            deltas.append(delta)
     scores = {p: s for p, s in prev.items() if p not in frozen}
     return FSimResult(scores=scores, iterations=it, frozen=frozen)

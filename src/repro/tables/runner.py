@@ -19,7 +19,9 @@ def make_session(app: str) -> SparkSession:
     """A local SparkSession: ``local[*]`` or ``$SPARK_MASTER``, driver
     memory ``$SPARK_DRIVER_MEM`` or 8g, ``$SPARK_SHUFFLE_PARTITIONS`` or
     16 shuffle partitions, Arrow on, broadcast joins off (so joins take
-    the shuffle path), log level ERROR.
+    the shuffle path), log level ERROR. The FSim engine caps its own
+    fixed-count shuffles at the core count (``defaultParallelism``), so
+    the shuffle-partition setting is only an upper bound there.
 
     Master and driver memory are read at JVM launch, so they go into
     ``PYSPARK_SUBMIT_ARGS``; they take effect only if no JVM is running.

@@ -1,16 +1,18 @@
 """The distributed FSim engine vs the pure-Python reference, plus engine-
-level properties (P2, theta, upper-bound mode), the max_iter warning and
-the shape of one iteration's physical plan.
+level properties (P2, theta, upper-bound mode), the max_iter warning, the
+greedy-tie stop and the shape of the loop and of one iteration's
+physical plan.
 
-Equivalence runs use ``exact_iters`` so both implementations perform the
-same number of iterations (eps-converged dp/bj runs may stop at
-different phases of a greedy-tie cycle; see DESIGN.md).
+Most equivalence runs use ``exact_iters`` so both implementations perform
+the same number of iterations; the eps-converged ones check that the
+engine's convergence test stops where the reference's does.
 """
 import logging
 import random
 
 import pytest
 
+from repro.core import fsim as fsim_module
 from repro.core.fsim import fsim_spark
 from repro.core.reference import FSimConfig, fsim_reference
 from repro.exact.pysim import exact_simulation_py
@@ -78,6 +80,39 @@ class TestEngineMatchesReference:
         assert_same(got_frozen, ref.frozen)
 
 
+@pytest.mark.parametrize("variant", ["s", "b"])
+@pytest.mark.parametrize("upper_bound", [False, True],
+                         ids=["no_ub", "ub"])
+class TestEpsConvergedMatchesReference:
+    """eps-converged s/b runs: the engine's max |delta|, read from its
+    iteration checkpoint, stops the loop where the reference stops."""
+
+    def cfg(self, variant, upper_bound):
+        return FSimConfig(variant=variant, theta=0.0, eps=1e-3,
+                          upper_bound=upper_bound, alpha=0.2, beta=0.6)
+
+    def check(self, spark, l1, e1, l2, e2, cfg):
+        g1 = Graph.from_edge_list(spark, l1, e1)
+        g2 = Graph.from_edge_list(spark, l2, e2)
+        scores_df, frozen_df = fsim_spark(spark, g1, g2, cfg,
+                                          return_frozen=True)
+        ref = fsim_reference(l1, e1, l2, e2, cfg)
+        assert ref.iterations < cfg.max_iter
+        assert_same({(r["u"], r["v"]): r["score"]
+                     for r in scores_df.collect()}, ref.scores)
+        assert_same({(r["u"], r["v"]): r["score"]
+                     for r in frozen_df.collect()}, ref.frozen)
+
+    def test_figure1(self, spark, variant, upper_bound):
+        self.check(spark, G1_LABELS, G1_EDGES, G2_LABELS, G2_EDGES,
+                   self.cfg(variant, upper_bound))
+
+    def test_random_graph(self, spark, variant, upper_bound):
+        l1, e1 = random_graph(7)
+        l2, e2 = random_graph(8)
+        self.check(spark, l1, e1, l2, e2, self.cfg(variant, upper_bound))
+
+
 class TestEngineProperties:
     @pytest.mark.parametrize("variant", ["s", "b"])
     def test_simulation_definiteness_converged(self, spark, variant):
@@ -142,12 +177,68 @@ def test_greedy_ties_ignore_edge_order(spark, variant):
     assert_same(got, fsim_reference(lab, edges, lab, edges, cfg).scores)
 
 
+def _on_iteration(monkeypatch, callback):
+    """Call ``callback(iteration)`` whenever the engine logs one."""
+    def debug(msg, *args):
+        if "iter=" in msg:
+            callback(args[1])
+    monkeypatch.setattr(fsim_module._log, "debug", debug)
+
+
+@pytest.mark.parametrize("variant,seed", [("dp", 298), ("bj", 37)])
+def test_greedy_tie_cycle_of_period_two_stops(spark, monkeypatch, variant,
+                                              seed):
+    """On these graphs the greedy matching settles into a cycle where
+    max |delta| alternates between two values (dp, seed 298: 0.0477,
+    0.0532, 0.0213, 0.0530), so consecutive deltas never come within 5%
+    of each other. Engine and reference must both see the plateau two
+    iterations apart and stop at the same iteration, not at max_iter."""
+    lab, edges = random_graph(seed, n=6, p=0.3,
+                              labels=("ab", "abc", "bc", "ca"))
+    cfg = FSimConfig(variant=variant, label_fn="jaro_winkler", theta=0.0,
+                     max_iter=30)
+    ref = fsim_reference(lab, edges, lab, edges, cfg)
+    assert ref.iterations < cfg.max_iter
+    iters = []
+    _on_iteration(monkeypatch, iters.append)
+    got = spark_scores(spark, lab, edges, lab, edges, cfg)
+    assert iters[-1] == ref.iterations
+    assert_same(got, ref.scores)
+
+
+def test_converged_run_checkpoints_once_per_iteration(spark, monkeypatch):
+    """Each iteration of an eps-converged run is one Spark action: the
+    eager checkpoint, whose observation carries max |delta|. No
+    first/head/take/collect/count runs inside the loop."""
+    cls = type(spark.range(1))
+    events = []
+    for name in ("localCheckpoint", "first", "head", "take", "collect",
+                 "count"):
+        def record(df, *args, _name=name, _orig=getattr(cls, name), **kwargs):
+            events.append(_name)
+            return _orig(df, *args, **kwargs)
+        monkeypatch.setattr(cls, name, record)
+    _on_iteration(monkeypatch, lambda it: events.append("iter"))
+    cfg = FSimConfig(variant="s", eps=1e-3)
+    g1, g2 = figure1_graphs(spark)
+    fsim_spark(spark, g1, g2, cfg)
+    monkeypatch.undo()
+    ref = fsim_reference(G1_LABELS, G1_EDGES, G2_LABELS, G2_EDGES, cfg)
+    segments = " ".join(events).split("iter")
+    # segments[0] is setup plus iteration 1, segments[-1] the teardown
+    assert len(segments) - 1 == ref.iterations >= 3
+    assert [s.split() for s in segments[1:-1]] == (
+        [["localCheckpoint"]] * (ref.iterations - 1))
+    assert segments[-1].split() == []
+
+
 def _exchanges_and_cache_sides(plan, since_join=(), out=None):
-    """Shuffle origins in an executed plan, and for each cached-table
-    scan whether a shuffle sits between it and the join it feeds. Does
-    not descend into the cached relations themselves."""
+    """Shuffle origins in an executed plan, the partition count of each
+    ``REPARTITION_BY_NUM`` exchange, and for each cached-table scan
+    whether a shuffle sits between it and the join it feeds. Does not
+    descend into the cached relations themselves."""
     if out is None:
-        out = ([], [])
+        out = ([], [], [])
     name = plan.getClass().getSimpleName()
     if name == "AdaptiveSparkPlanExec":
         return _exchanges_and_cache_sides(plan.executedPlan(), since_join, out)
@@ -155,8 +246,10 @@ def _exchanges_and_cache_sides(plan, since_join=(), out=None):
         return _exchanges_and_cache_sides(plan.plan(), since_join, out)
     if name == "ShuffleExchangeExec":
         out[0].append(plan.shuffleOrigin().toString())
+        if out[0][-1] == "REPARTITION_BY_NUM":
+            out[1].append(plan.outputPartitioning().numPartitions())
     if name == "InMemoryTableScanExec":
-        out[1].append("ShuffleExchangeExec" in since_join)
+        out[2].append("ShuffleExchangeExec" in since_join)
     since_join = () if name.endswith("JoinExec") else since_join + (name,)
     kids = plan.children()
     for i in range(kids.size()):
@@ -168,7 +261,8 @@ def _exchanges_and_cache_sides(plan, since_join=(), out=None):
 def test_one_iteration_shuffles_only_the_scores(spark, monkeypatch, variant):
     """One iteration moves the scores to the cached index (one
     ENSURE_REQUIREMENTS exchange) and regroups by (u, v) (one
-    REPARTITION_BY_NUM); the cached index and pair table never move."""
+    REPARTITION_BY_NUM, one partition per core, capped by the session's
+    shuffle partitions); the cached index and pair table never move."""
     cls = type(spark.range(1))
     checkpointed = []
     orig = cls.localCheckpoint
@@ -181,7 +275,9 @@ def test_one_iteration_shuffles_only_the_scores(spark, monkeypatch, variant):
     fsim_spark(spark, g1, g2, FSimConfig(variant=variant, exact_iters=2))
     # the last checkpoint is the second iteration, after the caches filled
     plan = checkpointed[-1]._jdf.queryExecution().executedPlan()
-    exchanges, cache_sides_shuffled = _exchanges_and_cache_sides(plan)
+    exchanges, by_num, cache_sides_shuffled = _exchanges_and_cache_sides(plan)
     assert sorted(exchanges) == ["ENSURE_REQUIREMENTS", "REPARTITION_BY_NUM"]
+    assert by_num == [min(int(spark.conf.get("spark.sql.shuffle.partitions")),
+                          spark.sparkContext.defaultParallelism)]
     assert len(cache_sides_shuffled) == 2
     assert not any(cache_sides_shuffled)
