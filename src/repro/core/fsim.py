@@ -36,10 +36,12 @@ stops when that is below ``eps`` (Theorem 1 guarantees contraction by a
 factor of w+ + w-), or, for dp/bj, when a greedy-tie cycle pins it
 (``greedy_tie_plateau``).
 
-Upper-bound updating (Section 3.4): the Eq.-6 cardinalities are the
-same reduce over the same neighbour pairs with every score set to 1.
-Pairs whose bound is below ``beta`` are frozen at ``alpha * ub`` and
-only participate as neighbour lookups, never recomputed.
+Upper-bound updating (Section 3.4): Eq. 6's |M| is a count per
+``(u, v, d)`` over the same neighbour pairs, with no fold
+(``_bound_reduce``). As scores are <= 1, each variant's count bounds
+its mapping sum, so ``ub`` bounds the score. Pairs whose bound is below
+``beta`` are frozen at ``alpha * ub`` and only participate as neighbour
+lookups, never recomputed.
 
 The ``simrank`` variant (Section 4.3) reuses the same loop with
 ``M = S1 x S2`` and ``Omega = |S1||S2|``; RoleSim reuses ``bj`` with a
@@ -55,7 +57,7 @@ from pyspark.sql import Column, DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from ..graphs.model import Graph
-from .labels import label_sim_df
+from .labels import LABEL_SIM_SCHEMA, label_sim_pd
 from .ops import greedy_matching_sum_col
 from .reference import VARIANTS, FSimConfig, greedy_tie_plateau
 
@@ -108,11 +110,8 @@ def _mapping_reduce(variant: str, n: int) -> Callable[[DataFrame], DataFrame]:
             return (rows.groupBy("u", "v", "d", "x").agg(best)
                     .groupBy("u", "v", "d").agg(total))
     elif variant == "b":
-        # x-side and y-side maxima from one explode; the d = 2 row is
-        # the pair itself and counts once
-        side = F.explode(F.when(F.col("d") == _PREV, F.array(F.lit(0)))
-                         .otherwise(F.array(F.lit(0), F.lit(1)))).alias("side")
-        key = F.when(F.col("side") == 0, F.col("x")).otherwise(F.col("y")).alias("k")
+        # x-side and y-side maxima
+        side, key = _sides()
 
         def per_d(rows: DataFrame) -> DataFrame:
             return (rows.select("u", "v", "d", "x", "y", "s", side)
@@ -129,6 +128,52 @@ def _mapping_reduce(variant: str, n: int) -> Callable[[DataFrame], DataFrame]:
         def per_d(rows: DataFrame) -> DataFrame:
             return (rows.groupBy("u", "v", "d").agg(cand)
                     .select("u", "v", "d", matched))
+    return _per_pair(per_d, n)
+
+
+def _bound_reduce(variant: str, n: int) -> Callable[[DataFrame], DataFrame]:
+    """A function ``(u, v, d, x, y)`` rows -> ``(u, v, msum, msum_in, prev)``
+    whose ``m`` per ``(u, v, d)`` group is Eq. 6's label-feasible
+    |M_chi|, a count rather than a matching. With ``nx`` (``ny``) the
+    distinct x's (y's) of the group, each of which has an eligible
+    partner: s counts ``nx``, b ``nx + ny`` and simrank the rows, each
+    the variant's mapping sum with every score 1; dp/bj count
+    ``min(nx, ny)``, since with scores <= 1 the greedy matching's sum <=
+    its cardinality <= the maximum matching <= ``min(nx, ny)``.
+    """
+    if variant == "simrank":
+        def per_d(rows: DataFrame) -> DataFrame:
+            return rows.groupBy("u", "v", "d").agg(F.count("*").alias("m"))
+        return _per_pair(per_d, n)
+    # distinct (side, k) rows, so no count_distinct: two of those would
+    # expand the rows and shuffle them again
+    side, key = _sides()
+    nx = F.count(F.when(F.col("side") == 0, 1))
+    ny = F.count(F.when(F.col("side") == 1, 1))
+    card = nx if variant == "s" else nx + ny if variant == "b" else F.least(nx, ny)
+
+    def per_d(rows: DataFrame) -> DataFrame:
+        return (rows.select("u", "v", "d", "x", "y", side)
+                .select("u", "v", "d", "side", key).distinct()
+                .groupBy("u", "v", "d").agg(card.alias("m")))
+    return _per_pair(per_d, n)
+
+
+def _sides() -> Tuple[Column, Column]:
+    """Columns that explode each row into an x-side (``side`` 0) and a
+    y-side (1) row keyed ``k`` by that side's node; the d = 2 row is the
+    pair itself and gets only one."""
+    side = F.explode(F.when(F.col("d") == _PREV, F.array(F.lit(0)))
+                     .otherwise(F.array(F.lit(0), F.lit(1)))).alias("side")
+    key = F.when(F.col("side") == 0, F.col("x")).otherwise(F.col("y")).alias("k")
+    return side, key
+
+
+def _per_pair(per_d: Callable[[DataFrame], DataFrame],
+              n: int) -> Callable[[DataFrame], DataFrame]:
+    """Shuffle rows once by ``(u, v)``, reduce each ``(u, v, d)`` group to
+    ``m`` with ``per_d``, and sum ``m`` per pair into ``msum`` (out),
+    ``msum_in`` (in) and ``prev`` (the pair's own ``d = 2`` row)."""
     d, m = F.col("d"), F.col("m")
     per_pair = (F.sum(F.when(d == _OUT, m)).alias("msum"),
                 F.sum(F.when(d == _IN, m)).alias("msum_in"),
@@ -164,20 +209,25 @@ def _candidates(spark: SparkSession, g1: Graph, g2: Graph,
     d2 = g2.degrees().select(
         F.col("id").alias("v"), F.col("label").alias("lab2"),
         F.col("dout").alias("do2"), F.col("din").alias("di2"))
-    labs1 = [r["lab1"] for r in d1.select("lab1").distinct().collect()]
-    labs2 = [r["lab2"] for r in d2.select("lab2").distinct().collect()]
-    lsim = label_sim_df(spark, labs1, labs2, cfg.label_fn, min_sim=cfg.theta)
+    # nodes per label: the label table's keys, and the candidate count
+    # before any join
+    n1 = dict(g1.nodes.groupBy("label").count().collect())
+    n2 = dict(g2.nodes.groupBy("label").count().collect())
+    lsim_pd = label_sim_pd(list(n1), list(n2), cfg.label_fn, min_sim=cfg.theta)
+    lsim = spark.createDataFrame(lsim_pd, schema=LABEL_SIM_SCHEMA)
     if cfg.theta > 0.0:
+        n_pairs = sum(n1[a] * n2[b]
+                      for a, b in zip(lsim_pd["lab1"], lsim_pd["lab2"]))
         c = d1.join(lsim, "lab1").join(d2, "lab2")
     else:
-        n1, n2 = g1.nodes.count(), g2.nodes.count()
-        if n1 * n2 > cfg.max_pairs:
-            raise ValueError(
-                f"theta=0 cross product {n1}x{n2} exceeds "
-                f"max_pairs={cfg.max_pairs}; raise theta or max_pairs")
+        n_pairs = sum(n1.values()) * sum(n2.values())
         c = (d1.crossJoin(d2)
              .join(lsim, ["lab1", "lab2"], "left")
              .withColumn("lsim", F.coalesce("lsim", F.lit(0.0))))
+    if n_pairs > cfg.max_pairs:
+        raise ValueError(f"{n_pairs} candidate pairs at theta={cfg.theta} "
+                         f"exceed max_pairs={cfg.max_pairs}; raise theta or "
+                         "max_pairs")
     return c.select("u", "v", "lsim", "do1", "di1", "do2", "di2")
 
 
@@ -211,10 +261,10 @@ def fsim_spark(
     frozen = spark.createDataFrame([], schema="u long, v long, score double")
     # ---- upper-bound updating: freeze pairs with ub < beta at alpha*ub
     if cfg.upper_bound:
-        ones = _neighbour_pairs(g1, g2, pairs, pairs).withColumn("s", F.lit(1.0))
+        card = _bound_reduce(cfg.variant, n)(_neighbour_pairs(g1, g2, pairs, pairs))
         ub = _score_expr(cfg)
         pairs = (
-            cand.join(_mapping_reduce(cfg.variant, n)(ones), ["u", "v"], "left")
+            cand.join(card, ["u", "v"], "left")
             .select("u", "v", "lsim", "do1", "di1", "do2", "di2",
                     F.when(ub < cfg.beta, cfg.alpha * ub).alias("fs"))
             .localCheckpoint()

@@ -119,8 +119,11 @@ def label_sim_pd(labels1: List[str], labels2: List[str], fn: str | Callable,
     return pd.DataFrame(rows, columns=["lab1", "lab2", "lsim"])
 
 
+LABEL_SIM_SCHEMA = "lab1 string, lab2 string, lsim double"
+
+
 def label_sim_df(spark: SparkSession, labels1: List[str], labels2: List[str],
                  fn: str | Callable, min_sim: float = 0.0) -> DataFrame:
     """Spark dimension table ``(lab1, lab2, lsim)`` of non-zero label pairs."""
     pdf = label_sim_pd(labels1, labels2, fn, min_sim)
-    return spark.createDataFrame(pdf, schema="lab1 string, lab2 string, lsim double")
+    return spark.createDataFrame(pdf, schema=LABEL_SIM_SCHEMA)

@@ -3,9 +3,7 @@
 The dp/bj mapping operators are maximum-weight bipartite matchings; the
 paper uses "a popular greedy approximate of Hungarian" [23], which we
 mirror: scan candidate pairs in decreasing-score order and take every
-pair whose endpoints are both unused. The same kernel with unit weights
-yields the label-feasible matching *cardinality* |M| used by
-upper-bound updating (Eq. 6).
+pair whose endpoints are both unused.
 
 Two implementations with identical semantics (cross-checked in tests):
 a pure-Python kernel (reference implementation, driver-side baselines)
@@ -46,15 +44,6 @@ def greedy_matching(
         total += ss[i]
         count += 1
     return total, count
-
-
-def greedy_matching_cardinality(xs: Sequence[int], ys: Sequence[int]) -> int:
-    """|M| for dp/bj under label feasibility only (all weights equal).
-
-    With unit weights greedy produces a *maximal* matching, a lower
-    bound on the maximum; adequate for the upper-bound heuristic.
-    """
-    return greedy_matching(xs, ys, [1.0] * len(xs))[1]
 
 
 def kuhn_saturating(

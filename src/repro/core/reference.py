@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..graphs.model import AdjGraph
 from .labels import LABEL_FNS
-from .ops import greedy_matching, greedy_matching_cardinality
+from .ops import greedy_matching
 
 Pair = Tuple[int, int]
 
@@ -135,19 +135,18 @@ def _norm_term(variant: str, d1: int, d2: int, msum: float) -> float:
 
 def _label_feasible_card(variant: str, s1: List[int], s2: List[int],
                          eligible: Dict[Pair, float]) -> int:
-    """|M_chi| under the label constraint only (for Eq. 6 upper bounds)."""
+    """|M_chi| under the label constraint only (for Eq. 6 upper bounds),
+    from the x's with an eligible y and the y's with an eligible x: all
+    of the x's for s, both sets for b, and the smaller set for dp/bj.
+    Scores are <= 1, so the greedy matching's sum <= its cardinality <=
+    the maximum matching <= that count, and the bound holds."""
+    xs = {x for x in s1 if any((x, y) in eligible for y in s2)}
+    ys = {y for y in s2 if any((x, y) in eligible for x in s1)}
     if variant == "s":
-        return sum(1 for x in s1 if any((x, y) in eligible for y in s2))
+        return len(xs)
     if variant == "b":
-        return (sum(1 for x in s1 if any((x, y) in eligible for y in s2))
-                + sum(1 for y in s2 if any((x, y) in eligible for x in s1)))
-    xs, ys = [], []
-    for x in s1:
-        for y in s2:
-            if (x, y) in eligible:
-                xs.append(x)
-                ys.append(y)
-    return greedy_matching_cardinality(xs, ys)
+        return len(xs) + len(ys)
+    return min(len(xs), len(ys))
 
 
 def greedy_tie_plateau(delta: float, earlier: List[float]) -> bool:

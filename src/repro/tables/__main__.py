@@ -36,7 +36,9 @@ def run_tables(spark, names, fast: bool = False,
     """Run each named table on ``spark`` and emit it to ``outdir``."""
     for name in names:
         run, full, small = TABLES[name]
+        t0 = time.time()
         emit(run(spark, **(small if fast else full)), name, outdir)
+        print(f"{name} done in {time.time() - t0:.1f}s")
 
 
 if __name__ == "__main__":

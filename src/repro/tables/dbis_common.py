@@ -5,8 +5,8 @@ returns venue->ranked-venue lists per algorithm:
 
 - PCRW, PathSim, JoinSim: meta-path measures (``similarity/metapath``),
 - nSimGram-like: q-gram cosine (``similarity/nsimgram``),
-- FSim_b / FSim_bj: the framework with {ub, theta=1} (the paper's
-  configuration for the large case studies).
+- FSim_b / FSim_bj: the framework at theta=0 without upper-bound
+  updating (see the note on theta below).
 """
 from __future__ import annotations
 

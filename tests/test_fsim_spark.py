@@ -68,16 +68,27 @@ class TestEngineMatchesReference:
         assert_same(got, ref.scores)
 
     def test_upper_bound_mode(self, spark, variant):
-        cfg = FSimConfig(variant=variant, theta=0.0, exact_iters=3,
-                         upper_bound=True, alpha=0.2, beta=0.6)
-        g1, g2 = figure1_graphs(spark)
-        scores_df, frozen_df = fsim_spark(spark, g1, g2, cfg,
-                                          return_frozen=True)
-        got = {(r["u"], r["v"]): r["score"] for r in scores_df.collect()}
-        got_frozen = {(r["u"], r["v"]): r["score"] for r in frozen_df.collect()}
-        ref = fsim_reference(G1_LABELS, G1_EDGES, G2_LABELS, G2_EDGES, cfg)
-        assert_same(got, ref.scores)
-        assert_same(got_frozen, ref.frozen)
+        # Figure 1, and a pair of random graphs on which a greedy
+        # matching's cardinality, as |M| for dp, bounded FSim_dp(0, 0) =
+        # 0.578 by 0.5 (the count bound freezes fewer dp/bj pairs there)
+        labels = ("ab", "ac", "bc", "abc", "b")
+        cases = [((G1_LABELS, G1_EDGES, G2_LABELS, G2_EDGES), {}),
+                 ((*random_graph(6, 9, 0.3, labels),
+                   *random_graph(1006, 9, 0.3, labels)),
+                  dict(label_fn="edit", theta=0.5))]
+        for (l1, e1, l2, e2), kw in cases:
+            cfg = FSimConfig(variant=variant, exact_iters=3, upper_bound=True,
+                             alpha=0.2, beta=0.6, **kw)
+            g1 = Graph.from_edge_list(spark, l1, e1)
+            g2 = Graph.from_edge_list(spark, l2, e2)
+            scores_df, frozen_df = fsim_spark(spark, g1, g2, cfg,
+                                              return_frozen=True)
+            got = {(r["u"], r["v"]): r["score"] for r in scores_df.collect()}
+            got_frozen = {(r["u"], r["v"]): r["score"]
+                          for r in frozen_df.collect()}
+            ref = fsim_reference(l1, e1, l2, e2, cfg)
+            assert_same(got, ref.scores)
+            assert_same(got_frozen, ref.frozen)
 
 
 @pytest.mark.parametrize("variant", ["s", "b"])
@@ -143,9 +154,15 @@ class TestEngineProperties:
 
     def test_max_pairs_guard(self, spark):
         l1, e1 = random_graph(1, n=12)
-        cfg = FSimConfig(variant="s", theta=0.0, exact_iters=1, max_pairs=10)
-        with pytest.raises(ValueError, match="max_pairs"):
-            spark_scores(spark, l1, e1, l1, e1, cfg)
+        # same-label pairs at theta=1; the cross product at theta=0
+        for theta, n in ((1.0, sum(1 for a in l1.values() for b in l1.values()
+                                   if a == b)),
+                         (0.0, 12 * 12)):
+            cfg = FSimConfig(variant="s", theta=theta, exact_iters=1,
+                             max_pairs=10)
+            with pytest.raises(ValueError, match=f"^{n} candidate pairs .* "
+                                                 "max_pairs=10"):
+                spark_scores(spark, l1, e1, l1, e1, cfg)
 
     def test_symmetry_of_bj_on_spark(self, spark):
         cfg = FSimConfig(variant="bj", exact_iters=3)

@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from repro.core.ops import (greedy_matching, greedy_matching_cardinality,
-                            kuhn_saturating)
+from repro.core.ops import greedy_matching, kuhn_saturating
 
 
 def brute_force_best(xs, ys, ss):
@@ -63,9 +62,6 @@ class TestGreedyMatching:
         assert total <= opt + 1e-9
         assert total >= opt / 2 - 1e-9  # greedy is a 1/2-approximation
         assert 0 <= count <= min(len(set(xs)), len(set(ys)))
-
-    def test_cardinality_unit_weights(self):
-        assert greedy_matching_cardinality([1, 1, 2, 3], [5, 6, 6, 7]) == 3
 
 
 class TestKuhnSaturating:

@@ -187,6 +187,23 @@ class TestUpperBoundUpdating:
                 assert p in r.scores, (variant, p)
                 assert r.scores[p] == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("variant", ["dp", "bj"])
+    def test_bound_holds_on_random_graphs(self, variant):
+        # alpha=1, beta > 1 freezes every pair at exactly its Eq.-6 bound;
+        # the converged score must not exceed it. Seed 6, for one, broke
+        # the bound when |M| was a greedy matching's cardinality.
+        labels = ("ab", "ac", "bc", "abc", "b")
+        for seed in range(150):
+            l1, e1 = random_graph(seed, 9, 0.3, labels)
+            l2, e2 = random_graph(seed + 1000, 9, 0.3, labels)
+            kw = dict(variant=variant, label_fn="edit", theta=0.5)
+            ub = fsim_reference(l1, e1, l2, e2, FSimConfig(
+                upper_bound=True, alpha=1.0, beta=1.01, **kw)).frozen
+            scores = fsim_reference(l1, e1, l2, e2, FSimConfig(**kw)).scores
+            assert set(ub) == set(scores), seed
+            for p, s in scores.items():
+                assert s <= ub[p] + 1e-12, (seed, p, s, ub[p])
+
 
 class TestInitOverride:
     def test_custom_init_changes_first_iteration_only_transiently(self):
