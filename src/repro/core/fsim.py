@@ -5,16 +5,17 @@ DataFrame fixpoint. In Algorithm 1 only the score map H changes between
 iterations; the neighbour-pair structure E1(u, x) E2(v, y) restricted to
 candidate pairs is static. So one run builds two cached frames once:
 
-- the *pair table* ``(u, v, lsim, do1, di1, do2, di2, fs)``: every
-  candidate pair (``L(u, v) >= theta``, the paper's label-constrained
-  maintenance) with its degrees and, for pairs frozen by upper-bound
-  updating, the frozen score ``fs`` (null for live pairs);
-  hash-partitioned by ``(u, v)``;
-- the *index* ``P(u, v, d, x, y, fs)``: for each live pair, the
-  neighbour pairs ``(x, y)`` that are in the pair table, with ``d = 0``
+- the *index* ``P(u, v, d, x, y)``: for every candidate pair
+  (``L(u, v) >= theta``, the paper's label-constrained maintenance),
+  its neighbour pairs ``(x, y)`` that are candidates too, with ``d = 0``
   for out-neighbours and ``d = 1`` for in-neighbours, plus one ``d = 2``
   row ``(x, y) = (u, v)`` that carries the previous score into the same
-  pass; hash-partitioned by ``(x, y)``.
+  pass; hash-partitioned by ``(x, y)``. The upper-bound pass and every
+  iteration read this one frame;
+- the *pair table* ``(u, v, lsim, do1, di1, do2, di2, fs)``: every
+  candidate pair with its degrees and, for pairs frozen by upper-bound
+  updating, the frozen score ``fs`` (null otherwise); hash-partitioned
+  by ``(u, v)``.
 
 Both use one partition count ``n = min(spark.sql.shuffle.partitions,
 defaultParallelism)``, as does each iteration's regrouping by
@@ -37,11 +38,14 @@ factor of w+ + w-), or, for dp/bj, when a greedy-tie cycle pins it
 (``greedy_tie_plateau``).
 
 Upper-bound updating (Section 3.4): Eq. 6's |M| is a count per
-``(u, v, d)`` over the same neighbour pairs, with no fold
+``(u, v, d)`` over the cached P, with no fold
 (``_bound_reduce``). As scores are <= 1, each variant's count bounds
 its mapping sum, so ``ub`` bounds the score. Pairs whose bound is below
-``beta`` are frozen at ``alpha * ub`` and only participate as neighbour
-lookups, never recomputed.
+``beta`` are frozen at ``alpha * ub``, as in the reference: they stay
+in P and in the checkpointed scores at that fixed score, which
+``coalesce(fs, Eq. 1)`` keeps, so neighbours read them like any other
+pair. Their delta is null, which ``max`` ignores, and the run returns
+the null-delta rows as the frozen pairs.
 
 The ``simrank`` variant (Section 4.3) reuses the same loop with
 ``M = S1 x S2`` and ``Omega = |S1||S2|``; RoleSim reuses ``bj`` with a
@@ -184,20 +188,21 @@ def _per_pair(per_d: Callable[[DataFrame], DataFrame],
     return reduce
 
 
-def _neighbour_pairs(g1: Graph, g2: Graph, live: DataFrame,
-                     pairs: DataFrame) -> DataFrame:
-    """``(u, v, d, x, y, fs)``: neighbour pairs of each live ``(u, v)``
-    in direction ``d`` whose ``(x, y)`` is a row of ``pairs``."""
+def _neighbour_pairs(g1: Graph, g2: Graph, pairs: DataFrame) -> DataFrame:
+    """The index ``P(u, v, d, x, y)``: for each ``(u, v)`` of ``pairs``,
+    its neighbour pairs in direction ``d`` that are rows of ``pairs``,
+    plus one ``d = 2`` row ``(x, y) = (u, v)``."""
     def by_dir(g: Graph, node: str, nbr: str) -> DataFrame:
         return (g.out_edges().withColumn("d", F.lit(_OUT))
                 .unionByName(g.in_edges().withColumn("d", F.lit(_IN)))
                 .withColumnsRenamed({"u": node, "nbr": nbr}))
-    targets = pairs.select(F.col("u").alias("x"), F.col("v").alias("y"), "fs")
-    return (live.select("u", "v")
-            .join(by_dir(g1, "u", "x"), "u")
+    uv = pairs.select("u", "v")
+    return (uv.join(by_dir(g1, "u", "x"), "u")
             .join(by_dir(g2, "v", "y"), ["v", "d"])
-            .join(targets, ["x", "y"])
-            .select("u", "v", "d", "x", "y", "fs"))
+            .join(uv.withColumnsRenamed({"u": "x", "v": "y"}), ["x", "y"])
+            .select("u", "v", "d", "x", "y")
+            .unionByName(uv.select("u", "v", F.lit(_PREV).alias("d"),
+                                   F.col("u").alias("x"), F.col("v").alias("y"))))
 
 
 def _candidates(spark: SparkSession, g1: Graph, g2: Graph,
@@ -244,7 +249,8 @@ def fsim_spark(
 
     Returns a DataFrame ``(u, v, score)`` (plus the frozen-pair frame if
     ``return_frozen``). ``init`` overrides the default ``L(u, v)``
-    initialization (used by the SimRank/RoleSim configurations);
+    initialization (used by the SimRank/RoleSim configurations) except
+    on frozen pairs; a candidate absent from it starts with no score;
     ``pin_diagonal`` re-asserts ``score(u, u) = 1`` each iteration
     (SimRank's fixed diagonal).
     """
@@ -257,67 +263,53 @@ def fsim_spark(
             spark.sparkContext.defaultParallelism)
     cand = _candidates(spark, g1, g2, cfg).localCheckpoint()
 
+    # the two static sides, cached: a cached repartition keeps its hash
+    # partitioning, a checkpoint does not. The index is built once; with
+    # upper-bound updating the pair table's ``fs`` is counted over it.
+    index = _neighbour_pairs(g1, g2, cand).repartition(n, "x", "y").cache()
     pairs = cand.withColumn("fs", F.lit(None).cast("double"))
-    frozen = spark.createDataFrame([], schema="u long, v long, score double")
     # ---- upper-bound updating: freeze pairs with ub < beta at alpha*ub
     if cfg.upper_bound:
-        card = _bound_reduce(cfg.variant, n)(_neighbour_pairs(g1, g2, pairs, pairs))
         ub = _score_expr(cfg)
-        pairs = (
-            cand.join(card, ["u", "v"], "left")
-            .select("u", "v", "lsim", "do1", "di1", "do2", "di2",
-                    F.when(ub < cfg.beta, cfg.alpha * ub).alias("fs"))
-            .localCheckpoint()
-        )
-        frozen = (pairs.filter(F.col("fs").isNotNull())
-                  .select("u", "v", F.col("fs").alias("score"))
-                  .localCheckpoint())
-
-    # the two static sides, cached: a cached repartition keeps its hash
-    # partitioning, a checkpoint does not. The index is built from the
-    # uncached pairs, so AQE may coalesce the shuffles of its joins.
-    live = pairs.filter(F.col("fs").isNull())
-    index = (
-        _neighbour_pairs(g1, g2, live, pairs)
-        .unionByName(live.select("u", "v", F.lit(_PREV).alias("d"),
-                                 F.col("u").alias("x"), F.col("v").alias("y"),
-                                 "fs"))
-        .repartition(n, "x", "y").cache()
-    )
+        pairs = (cand.join(_bound_reduce(cfg.variant, n)(index), ["u", "v"], "left")
+                 .select("u", "v", "lsim", "do1", "di1", "do2", "di2",
+                         F.when(ub < cfg.beta, cfg.alpha * ub).alias("fs")))
     pairs = pairs.repartition(n, "u", "v").cache()
-    live = pairs.filter(F.col("fs").isNull())
 
-    scores = (init if init is not None
-              else live.select("u", "v", F.col("lsim").alias("score")))
-    scores = scores.localCheckpoint()
+    # scores ``(u, v, score, delta)`` of every pair; a frozen pair holds
+    # its ``fs`` and a null delta. A pair absent from a partial ``init``
+    # has no row, so it is ineligible in the first iteration.
+    not_frozen = F.col("fs").isNull()
+    scores = (pairs.withColumnRenamed("lsim", "score") if init is None
+              else pairs.join(init, ["u", "v"], "left"))
+    scores = (scores.select("u", "v", F.coalesce("fs", "score").alias("score"),
+                            F.when(not_frozen, F.lit(0.0)).alias("delta"))
+              .filter(F.col("score").isNotNull())
+              .localCheckpoint())
 
     # the loop's column expressions, built once: each operator costs a
     # Python-to-JVM round trip
     score = _score_expr(cfg)
     if pin_diagonal:
         score = F.when(F.col("u") == F.col("v"), F.lit(1.0)).otherwise(score)
-    score = score.alias("score")
-    delta = F.abs(F.col("score") - F.coalesce("prev", F.lit(0.0))).alias("delta")
+    score = F.coalesce("fs", score).alias("score")
+    delta = F.when(not_frozen, F.abs(F.col("score") - F.coalesce("prev", F.lit(0.0)))
+                   ).alias("delta")
     max_delta_col = F.max("delta").alias("max_delta")
     lookup_cols = (F.col("u").alias("x"), F.col("v").alias("y"),
                    F.col("score").alias("s"))
-    # frozen neighbours score fs; a live one absent from the scores
-    # (a partial ``init``) is ineligible this iteration
-    neighbour_s = F.coalesce("fs", "s")
     reduce = _mapping_reduce(cfg.variant, n)
 
     n_iters = cfg.exact_iters if cfg.exact_iters is not None else cfg.max_iter
     deltas: List[float] = []
     for it in range(n_iters):
         t_iter = time.time()
-        rows = (index.join(scores.select(*lookup_cols), ["x", "y"], "left")
-                .withColumn("s", neighbour_s)
-                .filter(F.col("s").isNotNull()))
+        rows = index.join(scores.select(*lookup_cols), ["x", "y"])
         # the checkpoint's own job fills the observation with max delta
         obs = Observation()
         scores = (
-            live.join(reduce(rows), ["u", "v"], "left")
-            .select("u", "v", score, "prev")
+            pairs.join(reduce(rows), ["u", "v"], "left")
+            .select("u", "v", "fs", score, "prev")
             .select("u", "v", "score", delta)
             .observe(obs, max_delta_col)
             .localCheckpoint(eager=True)
@@ -349,5 +341,7 @@ def fsim_spark(
                          deltas[-1] if deltas else None, cfg.eps)
     pairs.unpersist()
     index.unpersist()
-    scores = scores.select("u", "v", "score")
+    # a null delta marks a frozen pair
+    frozen = scores.filter(F.col("delta").isNull()).select("u", "v", "score")
+    scores = scores.filter(F.col("delta").isNotNull()).select("u", "v", "score")
     return (scores, frozen) if return_frozen else scores

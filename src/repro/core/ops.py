@@ -16,25 +16,24 @@ fold stays flat.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from pyspark.sql import functions as F
 
 
 def greedy_matching(
     xs: Sequence[int], ys: Sequence[int], ss: Sequence[float]
-) -> Tuple[float, int]:
+) -> float:
     """Greedy max-weight bipartite matching over candidate pairs.
 
-    Returns ``(total_score, cardinality)``. Ties are broken by (x, y)
-    for determinism. This is injective on both sides, which is exactly
-    the feasible set shared by the dp and bj mapping operators.
+    Returns the matched score sum. Ties are broken by (x, y) for
+    determinism. This is injective on both sides, which is exactly the
+    feasible set shared by the dp and bj mapping operators.
     """
     order = sorted(range(len(ss)), key=lambda i: (-ss[i], xs[i], ys[i]))
     used_x: set = set()
     used_y: set = set()
     total = 0.0
-    count = 0
     for i in order:
         x, y = xs[i], ys[i]
         if x in used_x or y in used_y:
@@ -42,8 +41,7 @@ def greedy_matching(
         used_x.add(x)
         used_y.add(y)
         total += ss[i]
-        count += 1
-    return total, count
+    return total
 
 
 def kuhn_saturating(

@@ -62,6 +62,9 @@ class FSimConfig:
                              "in (0, 1)")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta={self.theta} must lie in [0, 1]")
+        # frozen scores are alpha * ub, so alpha > 1 breaks P1
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha={self.alpha} must lie in [0, 1]")
 
     @property
     def w_label(self) -> float:
@@ -112,7 +115,7 @@ def _mapping_sum(
                 xs.append(x)
                 ys.append(y)
                 ss.append(v)
-    return greedy_matching(xs, ys, ss)[0]
+    return greedy_matching(xs, ys, ss)
 
 
 def _norm_term(variant: str, d1: int, d2: int, msum: float) -> float:

@@ -91,6 +91,52 @@ class TestEngineMatchesReference:
             assert_same(got_frozen, ref.frozen)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_partial_init_with_upper_bound(spark, variant):
+    """A partial ``init`` and frozen pairs together: a frozen pair scores
+    its fixed ``fs`` even where ``init`` gives it another score, and a
+    pair absent from ``init`` is ineligible in the first iteration."""
+    cfg = FSimConfig(variant=variant, exact_iters=3, upper_bound=True,
+                     alpha=0.2, beta=0.6)
+    rng = random.Random(5)
+    init = {(u, v): rng.random() for u in G1_LABELS for v in G2_LABELS
+            if rng.random() < 0.6}
+    ref = fsim_reference(G1_LABELS, G1_EDGES, G2_LABELS, G2_EDGES, cfg,
+                         init=init)
+    assert set(init) & set(ref.frozen) and set(ref.scores) - set(init)
+    g1, g2 = figure1_graphs(spark)
+    init_df = spark.createDataFrame(
+        [(u, v, s) for (u, v), s in init.items()],
+        schema="u long, v long, score double")
+    scores_df, frozen_df = fsim_spark(spark, g1, g2, cfg, init=init_df,
+                                      return_frozen=True)
+    assert_same({(r["u"], r["v"]): r["score"] for r in scores_df.collect()},
+                ref.scores)
+    assert_same({(r["u"], r["v"]): r["score"] for r in frozen_df.collect()},
+                ref.frozen)
+
+
+@pytest.mark.parametrize("upper_bound", [False, True], ids=["no_ub", "ub"])
+def test_neighbour_pairs_built_once_per_run(spark, monkeypatch, upper_bound):
+    """The Eq.-6 bound and the loop read one index P, built once."""
+    calls = []
+    build = fsim_module._neighbour_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+    monkeypatch.setattr(fsim_module, "_neighbour_pairs", counted)
+    g1, g2 = figure1_graphs(spark)
+    _, frozen = fsim_spark(spark, g1, g2,
+                           FSimConfig(variant="s", exact_iters=2,
+                                      upper_bound=upper_bound,
+                                      alpha=0.2, beta=0.6),
+                           return_frozen=True)
+    assert len(calls) == 1
+    # with the bound on, some pairs freeze
+    assert (frozen.count() > 0) == upper_bound
+
+
 @pytest.mark.parametrize("variant", ["s", "b"])
 @pytest.mark.parametrize("upper_bound", [False, True],
                          ids=["no_ub", "ub"])
@@ -274,12 +320,17 @@ def _exchanges_and_cache_sides(plan, since_join=(), out=None):
     return out
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_one_iteration_shuffles_only_the_scores(spark, monkeypatch, variant):
+@pytest.mark.parametrize(
+    "variant,upper_bound",
+    [(v, False) for v in VARIANTS] + [(v, True) for v in VARIANTS],
+    ids=VARIANTS + [f"{v}-ub" for v in VARIANTS])
+def test_one_iteration_shuffles_only_the_scores(spark, monkeypatch, variant,
+                                                upper_bound):
     """One iteration moves the scores to the cached index (one
     ENSURE_REQUIREMENTS exchange) and regroups by (u, v) (one
     REPARTITION_BY_NUM, one partition per core, capped by the session's
-    shuffle partitions); the cached index and pair table never move."""
+    shuffle partitions); the cached index and pair table never move,
+    with or without frozen pairs."""
     cls = type(spark.range(1))
     checkpointed = []
     orig = cls.localCheckpoint
@@ -289,7 +340,9 @@ def test_one_iteration_shuffles_only_the_scores(spark, monkeypatch, variant):
         return orig(df, *args, **kwargs)
     monkeypatch.setattr(cls, "localCheckpoint", record)
     g1, g2 = figure1_graphs(spark)
-    fsim_spark(spark, g1, g2, FSimConfig(variant=variant, exact_iters=2))
+    fsim_spark(spark, g1, g2, FSimConfig(variant=variant, exact_iters=2,
+                                         upper_bound=upper_bound,
+                                         alpha=0.2, beta=0.6))
     # the last checkpoint is the second iteration, after the caches filled
     plan = checkpointed[-1]._jdf.queryExecution().executedPlan()
     exchanges, by_num, cache_sides_shuffled = _exchanges_and_cache_sides(plan)

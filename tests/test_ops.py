@@ -22,33 +22,29 @@ def brute_force_best(xs, ys, ss):
 
 class TestGreedyMatching:
     def test_empty(self):
-        assert greedy_matching([], [], []) == (0.0, 0)
+        assert greedy_matching([], [], []) == 0.0
 
     def test_single(self):
-        assert greedy_matching([1], [2], [0.5]) == (0.5, 1)
+        assert greedy_matching([1], [2], [0.5]) == 0.5
 
     def test_takes_best_first(self):
-        total, count = greedy_matching([1, 1], [2, 3], [0.2, 0.9])
-        assert total == 0.9 and count == 1
+        assert greedy_matching([1, 1], [2, 3], [0.2, 0.9]) == 0.9
 
     def test_injective_both_sides(self):
         # greedy takes (1,5) first (tie-break by x,y), which blocks both
-        # (1,6) and (2,5) — cardinality 1, though the optimum is 2
-        total, count = greedy_matching([1, 1, 2], [5, 6, 5], [1.0, 1.0, 1.0])
-        assert count == 1 and total == 1.0
+        # (1,6) and (2,5) — one edge, though the optimum has two
+        assert greedy_matching([1, 1, 2], [5, 6, 5], [1.0, 1.0, 1.0]) == 1.0
         # the repeated endpoints are never matched twice
-        total2, count2 = greedy_matching([1, 2], [6, 5], [1.0, 1.0])
-        assert count2 == 2 and total2 == 2.0
+        assert greedy_matching([1, 2], [6, 5], [1.0, 1.0]) == 2.0
 
     def test_classic_greedy_suboptimal(self):
         # greedy takes (1,5)=0.6 and blocks both 0.5s -> 0.6 < optimal 1.0
-        total, _ = greedy_matching([1, 2], [5, 5], [0.6, 0.5])
-        assert total == 0.6
+        assert greedy_matching([1, 2], [5, 5], [0.6, 0.5]) == 0.6
 
     def test_deterministic_tie_break(self):
         a = greedy_matching([2, 1], [9, 8], [0.5, 0.5])
         b = greedy_matching([1, 2], [8, 9], [0.5, 0.5])
-        assert a == b == (1.0, 2)
+        assert a == b == 1.0
 
     @pytest.mark.parametrize("seed", range(20))
     def test_half_approximation_and_validity(self, seed):
@@ -57,11 +53,10 @@ class TestGreedyMatching:
         xs = [rng.randint(0, 3) for _ in range(n)]
         ys = [rng.randint(10, 13) for _ in range(n)]
         ss = [round(rng.random(), 3) for _ in range(n)]
-        total, count = greedy_matching(xs, ys, ss)
+        total = greedy_matching(xs, ys, ss)
         opt = brute_force_best(xs, ys, ss)
         assert total <= opt + 1e-9
         assert total >= opt / 2 - 1e-9  # greedy is a 1/2-approximation
-        assert 0 <= count <= min(len(set(xs)), len(set(ys)))
 
 
 class TestKuhnSaturating:
@@ -106,8 +101,6 @@ class TestGreedySqlEquivalence:
 
     def test_order_is_minus_s_then_x_then_y(self):
         # two 0.5 ties: (x=1,y=9) sorts before (x=2,y=8)
-        total, count = greedy_matching([2, 1], [8, 9], [0.5, 0.5])
-        assert (total, count) == (1.0, 2)
-        total2, _ = greedy_matching([1, 1], [9, 8], [0.5, 0.5])
+        assert greedy_matching([2, 1], [8, 9], [0.5, 0.5]) == 1.0
         # same x: y=8 preferred first
-        assert total2 == 0.5
+        assert greedy_matching([1, 1], [9, 8], [0.5, 0.5]) == 0.5

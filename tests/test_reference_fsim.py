@@ -228,6 +228,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FSimConfig(variant="s", w_out=0.0, w_in=0.0)
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        # frozen scores are alpha * ub, so alpha > 1 could score above 1
+        with pytest.raises(ValueError, match="alpha"):
+            FSimConfig(variant="s", upper_bound=True, alpha=alpha)
+
     def test_w_label_property(self):
         cfg = FSimConfig(variant="s", w_out=0.3, w_in=0.3)
         assert cfg.w_label == pytest.approx(0.4)
