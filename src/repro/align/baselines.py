@@ -19,15 +19,18 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from ..exact.kbisim import kbisim_refine, kbisim_signatures
-from ..graphs.model import Graph
-from .harness import f1_alignment
+from ..graphs.model import AdjGraph, Graph
+from .harness import identity_f1
 
 
-def _truth(g1: Graph) -> Dict[int, int]:
-    return {int(i): int(i) for i in g1.nodes.select("id").toPandas()["id"]}
+def _ids_by_sig(sigs: pd.DataFrame) -> Dict[str, Set[int]]:
+    """Signature -> the node ids carrying it, from an ``(id, sig)`` frame."""
+    by_sig: Dict[str, Set[int]] = {}
+    for i, s in zip(sigs["id"], sigs["sig"]):
+        by_sig.setdefault(s, set()).add(int(i))
+    return by_sig
 
 
 # --------------------------------------------------------------- k-bisim
@@ -35,16 +38,12 @@ def _truth(g1: Graph) -> Dict[int, int]:
 def kbisim_align(spark: SparkSession, g1: Graph, g2: Graph,
                  k: int) -> Dict[int, Set[int]]:
     s1 = kbisim_signatures(spark, g1, k).toPandas()
-    s2 = kbisim_signatures(spark, g2, k).toPandas()
-    by_sig: Dict[str, Set[int]] = {}
-    for i, s in zip(s2["id"], s2["sig"]):
-        by_sig.setdefault(s, set()).add(int(i))
+    by_sig = _ids_by_sig(kbisim_signatures(spark, g2, k).toPandas())
     return {int(i): by_sig.get(s, set()) for i, s in zip(s1["id"], s1["sig"])}
 
 
 def kbisim_align_f1(spark: SparkSession, g1: Graph, g2: Graph, k: int) -> float:
-    truth = _truth(g1)
-    return f1_alignment(kbisim_align(spark, g1, g2, k), truth, len(truth))
+    return identity_f1(kbisim_align(spark, g1, g2, k), g1)
 
 
 def olap_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
@@ -58,21 +57,15 @@ def olap_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
             out.append(sig.toPandas())
         return out
 
-    sig1, sig2 = levels(g1), levels(g2)
-    by_sig = []
-    for s2 in sig2:
-        d: Dict[str, Set[int]] = {}
-        for i, s in zip(s2["id"], s2["sig"]):
-            d.setdefault(s, set()).add(int(i))
-        by_sig.append(d)
+    sig1 = levels(g1)
+    by_sig = [_ids_by_sig(s2) for s2 in levels(g2)]
     align: Dict[int, Set[int]] = {}
     for k in range(max_k + 1):  # deeper levels overwrite when non-empty
         for i, s in zip(sig1[k]["id"], sig1[k]["sig"]):
             m = by_sig[k].get(s)
             if m:
                 align[int(i)] = m
-    truth = _truth(g1)
-    return f1_alignment(align, truth, len(truth))
+    return identity_f1(align, g1)
 
 
 # ----------------------------------------------------------- FINAL-like
@@ -118,44 +111,30 @@ def final_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
         m = row.max()
         if np.isfinite(m):
             align[int(u)] = {int(ids2[j]) for j in np.nonzero(row >= m - 1e-12)[0]}
-    truth = _truth(g1)
-    return f1_alignment(align, truth, len(truth))
+    return identity_f1(align, g1)
 
 
 # ------------------------------------------------------------- EWS-like
-
-def _adj_und(nodes: pd.DataFrame, edges: pd.DataFrame) -> Dict[int, Set[int]]:
-    adj: Dict[int, Set[int]] = {int(i): set() for i in nodes["id"]}
-    for s, d in zip(edges["src"], edges["dst"]):
-        adj[int(s)].add(int(d))
-        adj[int(d)].add(int(s))
-    return adj
-
 
 def ews_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
                  n_seeds: int = 30, min_witness: int = 2,
                  seed: int = 5) -> float:
     """Seeded percolation: repeatedly add the candidate pair with the
     most matched neighbor pairs (witnesses), threshold ``min_witness``."""
-    n1pd, e1pd = _collect(g1)
-    n2pd, e2pd = _collect(g2)
-    adj1 = _adj_und(n1pd, e1pd)
-    adj2 = _adj_und(n2pd, e2pd)
-    lab1 = dict(zip(n1pd["id"].astype(int), n1pd["label"]))
-    lab2 = dict(zip(n2pd["id"].astype(int), n2pd["label"]))
+    a1, a2 = AdjGraph.build(*_collect(g1)), AdjGraph.build(*_collect(g2))
     rng = np.random.default_rng(seed)
-    shared = sorted(set(lab1) & set(lab2))
+    shared = sorted(set(a1.label) & set(a2.label))
     seeds = rng.choice(shared, size=min(n_seeds, len(shared)), replace=False)
     matched1: Dict[int, int] = {int(s): int(s) for s in seeds}
     matched2: Dict[int, int] = {int(s): int(s) for s in seeds}
     witness: Dict[Tuple[int, int], int] = {}
 
     def bump(u: int, v: int) -> None:
-        for x in adj1[u]:
+        for x in set(a1.out[u] + a1.inn[u]):
             if x in matched1:
                 continue
-            for y in adj2[v]:
-                if y in matched2 or lab1[x] != lab2[y]:
+            for y in set(a2.out[v] + a2.inn[v]):
+                if y in matched2 or a1.label[x] != a2.label[y]:
                     continue
                 witness[(x, y)] = witness.get((x, y), 0) + 1
 
@@ -171,8 +150,7 @@ def ews_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
                    if p[0] != u and p[1] != v}
         bump(u, v)
     align = {u: {v} for u, v in matched1.items()}
-    truth = _truth(g1)
-    return f1_alignment(align, truth, len(truth))
+    return identity_f1(align, g1)
 
 
 # ------------------------------------------------------------ GSANA-like
@@ -180,46 +158,25 @@ def ews_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
 def gsana_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
                    n_anchors: int = 4, seed: int = 9) -> float:
     """Positional matching by BFS-distance-to-anchors feature vectors."""
-    from collections import deque
-
-    n1pd, e1pd = _collect(g1)
-    n2pd, e2pd = _collect(g2)
-    adj1 = _adj_und(n1pd, e1pd)
-    adj2 = _adj_und(n2pd, e2pd)
-    lab1 = dict(zip(n1pd["id"].astype(int), n1pd["label"]))
-    lab2 = dict(zip(n2pd["id"].astype(int), n2pd["label"]))
+    a1, a2 = AdjGraph.build(*_collect(g1)), AdjGraph.build(*_collect(g2))
     rng = np.random.default_rng(seed)
-    shared = sorted(set(lab1) & set(lab2))
+    shared = sorted(set(a1.label) & set(a2.label))
     anchors = [int(a) for a in
                rng.choice(shared, size=min(n_anchors, len(shared)), replace=False)]
 
-    def dists(adj: Dict[int, Set[int]], src: int) -> Dict[int, int]:
-        d = {src: 0}
-        dq = deque([src])
-        while dq:
-            x = dq.popleft()
-            for y in adj[x]:
-                if y not in d:
-                    d[y] = d[x] + 1
-                    dq.append(y)
-        return d
-
     far = 99
-    f1v = {u: [] for u in lab1}
-    f2v = {v: [] for v in lab2}
+    f1v = {u: [] for u in a1.label}
+    f2v = {v: [] for v in a2.label}
     for a in anchors:
-        d1 = dists(adj1, a)
-        d2 = dists(adj2, a)
+        d1 = a1.bfs(a)
+        d2 = a2.bfs(a)
         for u in f1v:
             f1v[u].append(d1.get(u, far))
         for v in f2v:
             f2v[v].append(d2.get(v, far))
-    by_label: Dict[str, List[int]] = {}
-    for v, l in lab2.items():
-        by_label.setdefault(l, []).append(v)
     align: Dict[int, Set[int]] = {}
-    for u, l in lab1.items():
-        cands = by_label.get(l, [])
+    for u, l in a1.label.items():
+        cands = a2.by_label.get(l, [])
         if not cands:
             continue
         fu = np.array(f1v[u])
@@ -229,5 +186,4 @@ def gsana_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
             if best_d is None or d < best_d:
                 best_v, best_d = v, d
         align[u] = {best_v}
-    truth = _truth(g1)
-    return f1_alignment(align, truth, len(truth))
+    return identity_f1(align, g1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Set
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from ..core.fsim import fsim_spark
 from ..core.reference import FSimConfig
@@ -44,6 +44,12 @@ def f1_alignment(align: Dict[int, Set[int]], truth: Dict[int, int],
     return 100.0 * total / n_total
 
 
+def identity_f1(align: Dict[int, Set[int]], g1: Graph) -> float:
+    """``f1_alignment`` against the identity map on ``g1``'s node ids."""
+    truth = {int(i): int(i) for i in g1.nodes.select("id").toPandas()["id"]}
+    return f1_alignment(align, truth, len(truth))
+
+
 def fsim_align_f1(
     spark: SparkSession, g1: Graph, g2: Graph, variant: str,
     *, w_star: float = 0.2, theta: float = 1.0, eps: float = 1e-2,
@@ -55,6 +61,4 @@ def fsim_align_f1(
                      label_fn="indicator", eps=eps,
                      upper_bound=upper_bound, alpha=0.0, beta=beta)
     pdf = fsim_spark(spark, g1, g2, cfg).toPandas()
-    truth = {int(i): int(i) for i in g1.nodes.select("id").toPandas()["id"]}
-    n1 = len(truth)
-    return f1_alignment(argmax_alignment(pdf), truth, n1)
+    return identity_f1(argmax_alignment(pdf), g1)

@@ -40,7 +40,7 @@ def simrank(spark: SparkSession, g: Graph, *, decay: float = 0.8,
         F.when(F.col("u") == F.col("v"), F.lit(1.0)).otherwise(F.lit(0.0))
         .alias("score"),
     )
-    return fsim_spark(spark, g, g, cfg, init=init, pin_diagonal=True)
+    return fsim_spark(spark, g, g, cfg, init=init)
 
 
 def rolesim(spark: SparkSession, g: Graph, *, beta: float = 0.2,

@@ -48,7 +48,8 @@ pair. Their delta is null, which ``max`` ignores, and the run returns
 the null-delta rows as the frozen pairs.
 
 The ``simrank`` variant (Section 4.3) reuses the same loop with
-``M = S1 x S2`` and ``Omega = |S1||S2|``; RoleSim reuses ``bj`` with a
+``M = S1 x S2``, ``Omega = |S1||S2|`` and the diagonal pinned at 1;
+RoleSim reuses ``bj`` with a
 constant label function (see ``core/configs.py``).
 """
 from __future__ import annotations
@@ -242,7 +243,6 @@ def fsim_spark(
     g2: Graph,
     cfg: FSimConfig,
     init: Optional[DataFrame] = None,
-    pin_diagonal: bool = False,
     return_frozen: bool = False,
 ) -> DataFrame | Tuple[DataFrame, DataFrame]:
     """Compute FSim_chi scores for all candidate pairs of (g1, g2).
@@ -250,9 +250,9 @@ def fsim_spark(
     Returns a DataFrame ``(u, v, score)`` (plus the frozen-pair frame if
     ``return_frozen``). ``init`` overrides the default ``L(u, v)``
     initialization (used by the SimRank/RoleSim configurations) except
-    on frozen pairs; a candidate absent from it starts with no score;
-    ``pin_diagonal`` re-asserts ``score(u, u) = 1`` each iteration
-    (SimRank's fixed diagonal).
+    on frozen pairs; a candidate absent from it starts with no score.
+    The ``simrank`` variant re-asserts ``score(u, u) = 1`` each
+    iteration (SimRank's fixed diagonal).
     """
     if cfg.variant not in VARIANTS:
         raise ValueError(f"unknown variant {cfg.variant!r}; expected one of "
@@ -290,7 +290,7 @@ def fsim_spark(
     # the loop's column expressions, built once: each operator costs a
     # Python-to-JVM round trip
     score = _score_expr(cfg)
-    if pin_diagonal:
+    if cfg.variant == "simrank":
         score = F.when(F.col("u") == F.col("v"), F.lit(1.0)).otherwise(score)
     score = F.coalesce("fs", score).alias("score")
     delta = F.when(not_frozen, F.abs(F.col("score") - F.coalesce("prev", F.lit(0.0)))

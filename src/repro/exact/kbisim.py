@@ -9,8 +9,9 @@ Substrates for Section 4.3's relation theorems:
   ``FSim_bj(u, v) = 1`` on the undirected view.
 
 Signatures are computed distributedly (join + sort_array + sha2 per
-round); the WL refinement is a small driver-side kernel used by tests
-and by the Olap-like alignment baseline.
+round); the Olap-like alignment baseline reads them level by level via
+``kbisim_refine``. The WL refinement is a small driver-side kernel, the
+Theorem-5 oracle of the tests.
 """
 from __future__ import annotations
 

@@ -19,7 +19,6 @@ the two are cross-checked in tests.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.ops import kuhn_saturating
@@ -92,19 +91,17 @@ def chi_simulated(labels1, edges1, labels2, edges2, u: int, v: int,
 # ------------------------------------------------------------ dual sim
 
 def maximal_dual_sim(
-    qlabels: Dict[int, str], qedges: List[Pair],
-    dlabel: Dict[int, str], dout: Dict[int, List[int]],
-    dinn: Dict[int, List[int]], restrict: Optional[Set[int]] = None,
+    q: AdjGraph, data: AdjGraph, restrict: Optional[Set[int]] = None,
 ) -> Dict[int, Set[int]]:
     """Maximal dual simulation: candidate data nodes per query node.
 
     ``restrict`` limits data nodes (the ball). Returns cand[q]; the
     relation is {(q, w) : w in cand[q]} and is empty-able per node.
     """
-    q = AdjGraph(qlabels, qedges)
-    nodes = restrict if restrict is not None else set(dlabel)
+    nodes = restrict if restrict is not None else set(data.label)
     cand: Dict[int, Set[int]] = {
-        qq: {w for w in nodes if dlabel[w] == ql} for qq, ql in q.label.items()
+        qq: {w for w in nodes if data.label[w] == ql}
+        for qq, ql in q.label.items()
     }
     changed = True
     while changed:
@@ -113,10 +110,10 @@ def maximal_dual_sim(
             bad = set()
             for w in cand[qq]:
                 ok = all(
-                    any(w2 in cand[q2] for w2 in dout[w] if w2 in nodes)
+                    any(w2 in cand[q2] for w2 in data.out[w] if w2 in nodes)
                     for q2 in q.out[qq]
                 ) and all(
-                    any(w2 in cand[q2] for w2 in dinn[w] if w2 in nodes)
+                    any(w2 in cand[q2] for w2 in data.inn[w] if w2 in nodes)
                     for q2 in q.inn[qq]
                 )
                 if not ok:
@@ -127,35 +124,19 @@ def maximal_dual_sim(
     return cand
 
 
-def query_diameter(qlabels: Dict[int, str], qedges: List[Pair]) -> int:
+def query_diameter(q: AdjGraph) -> int:
     """Undirected diameter of the query (max finite BFS eccentricity)."""
-    adj: Dict[int, Set[int]] = {u: set() for u in qlabels}
-    for s, d in qedges:
-        adj[s].add(d)
-        adj[d].add(s)
-    diam = 0
-    for src in qlabels:
-        dist = {src: 0}
-        dq = deque([src])
-        while dq:
-            x = dq.popleft()
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    dq.append(y)
-        diam = max(diam, max(dist.values()))
-    return diam
+    return max((max(q.bfs(u).values()) for u in q.label), default=0)
 
 
-def ball(center: int, radius: int, dout: Dict[int, List[int]],
-         dinn: Dict[int, List[int]], cap: int = 400) -> Set[int]:
+def ball(center: int, radius: int, data: AdjGraph, cap: int = 400) -> Set[int]:
     """Undirected-ball node set G[center, radius], truncated at ``cap``."""
     seen = {center}
     frontier = [center]
     for _ in range(radius):
         nxt = []
         for x in frontier:
-            for y in dout[x] + dinn[x]:
+            for y in data.out[x] + data.inn[x]:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -166,9 +147,7 @@ def ball(center: int, radius: int, dout: Dict[int, List[int]],
 
 
 def strong_simulation_match(
-    qlabels: Dict[int, str], qedges: List[Pair],
-    dlabel: Dict[int, str], dout: Dict[int, List[int]],
-    dinn: Dict[int, List[int]],
+    qlabels: Dict[int, str], qedges: List[Pair], data: AdjGraph,
     max_centers: int = 300, ball_cap: int = 400,
 ) -> Optional[Set[int]]:
     """Top-1 strong-simulation match (data-node set), or None.
@@ -177,60 +156,50 @@ def strong_simulation_match(
     query node; each center's ball is refined with dual simulation and
     accepted if all query nodes keep candidates. Top-1 = smallest match.
     """
-    qlabs = set(qlabels.values())
-    by_label: Dict[str, List[int]] = {}
-    for w, l in dlabel.items():
-        if l in qlabs:
-            by_label.setdefault(l, []).append(w)
+    q = AdjGraph(qlabels, qedges)
+    qlabs = set(q.label.values())
+    by_label = {l: ws for l, ws in data.by_label.items() if l in qlabs}
     if not by_label:
         return None
     rare = min(by_label, key=lambda l: len(by_label[l]))
     centers = by_label[rare][:max_centers]
-    radius = query_diameter(qlabels, qedges)
+    radius = query_diameter(q)
     best: Optional[Set[int]] = None
     for w in centers:
-        b = ball(w, radius, dout, dinn, cap=ball_cap)
-        cand = maximal_dual_sim(qlabels, qedges, dlabel, dout, dinn, restrict=b)
+        b = ball(w, radius, data, cap=ball_cap)
+        cand = maximal_dual_sim(q, data, restrict=b)
         if any(len(c) == 0 for c in cand.values()):
             continue
         if not any(w in c for c in cand.values()):
             continue
-        match = _extract_match(qlabels, qedges, cand, dout, dinn)
+        match = _extract_match(q, cand, data)
         if best is None or len(match) < len(best):
             best = match
     return best
 
 
-def _extract_match(
-    qlabels: Dict[int, str], qedges: List[Pair],
-    cand: Dict[int, Set[int]],
-    dout: Dict[int, List[int]], dinn: Dict[int, List[int]],
-) -> Set[int]:
+def _extract_match(q: AdjGraph, cand: Dict[int, Set[int]],
+                   data: AdjGraph) -> Set[int]:
     """Top-1 match graph: one data node per query node from the dual-sim
     candidate sets, chosen greedily (most-constrained query node first,
     then edge-consistent BFS expansion). Keeps precision comparable to
     |Q| instead of returning every simulator in the ball.
     """
-    nbrs: Dict[int, List[Tuple[int, str]]] = {i: [] for i in qlabels}
-    for s, d in qedges:
-        nbrs[s].append((d, "out"))
-        nbrs[d].append((s, "in"))
     assigned: Dict[int, int] = {}
-    start = min(qlabels, key=lambda i: (len(cand[i]), i))
+    start = min(q.label, key=lambda i: (len(cand[i]), i))
     assigned[start] = min(cand[start])
     frontier = [start]
     while frontier:
         qa = frontier.pop(0)
         wa = assigned[qa]
-        for qb, direction in nbrs[qa]:
+        for qb, direction in q.nbrs[qa]:
             if qb in assigned:
                 continue
-            pool = dout[wa] if direction == "out" else dinn[wa]
-            pick = sorted(set(pool) & cand[qb])
+            pick = sorted(set(data.step(wa, direction)) & cand[qb])
             if pick:
                 assigned[qb] = pick[0]
                 frontier.append(qb)
-    for q in qlabels:  # disconnected leftovers
-        if q not in assigned:
-            assigned[q] = min(cand[q])
+    for qq in q.label:  # disconnected leftovers
+        if qq not in assigned:
+            assigned[qq] = min(cand[qq])
     return set(assigned.values())

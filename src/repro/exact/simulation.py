@@ -12,8 +12,8 @@ neighbor conditions until stable.
   UDF over the pair's surviving neighbor candidates.
 
 Cross-checked against the Python reference (``exact/pysim.py``) in the
-tests; used for Table 2 verdicts and the exact-simulation rows of the
-case studies.
+tests. No table calls it: Table 2's verdicts come from
+``exact_simulation_py`` on the driver.
 """
 from __future__ import annotations
 

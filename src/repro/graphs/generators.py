@@ -153,8 +153,6 @@ class DbisData:
 
     graph: Graph
     venues: pd.DataFrame  # id, name, area, tier
-    nodes_pd: pd.DataFrame
-    edges_pd: pd.DataFrame
 
 
 def dbis_like_pd(
@@ -281,7 +279,7 @@ def dbis_like_pd(
 
 def dbis_like(spark: SparkSession, **kw) -> DbisData:
     nodes, edges, vmeta = dbis_like_pd(**kw)
-    return DbisData(Graph.from_pandas(spark, nodes, edges), vmeta, nodes, edges)
+    return DbisData(Graph.from_pandas(spark, nodes, edges), vmeta)
 
 
 # --------------------------------------------------- evolving RDF versions

@@ -10,11 +10,13 @@ Here a :class:`Graph` holds two DataFrames:
 All downstream algorithms (FSim, exact simulation, k-bisimulation, the
 case-study baselines) consume this representation. Helpers compute
 degrees and the Table-4 statistics. :class:`AdjGraph` is the
-driver-side adjacency-list form for the small Python kernels.
+driver-side adjacency-list form that every small Python kernel reads.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 import pandas as pd
@@ -121,13 +123,17 @@ class Graph:
 
 
 class AdjGraph:
-    """Driver-side adjacency lists, for the small Python kernels.
+    """Driver-side adjacency lists: the one graph every small Python
+    kernel reads (the FSim reference, exact and strong simulation, seed
+    and expand, and the Table-6/9 baselines).
 
     ``label`` maps node id -> label; ``out``/``inn`` map node id -> its
-    out-/in-neighbours in edge order. Built from a ``{id: label}`` map
-    and ``(src, dst)`` pairs. Used by the FSim reference, the exact
-    Python simulation and the per-query baselines (broadcast to
-    executors for strong simulation, TSpan, NAGA-like, G-Finder-like).
+    out-/in-neighbours in edge order; ``nbrs`` maps node id -> its
+    neighbours on both sides, tagged ``"out"`` or ``"in"``, in edge
+    order. The greedy kernels break ties by these orders, so the orders
+    are part of their output. Built from a ``{id: label}`` map and
+    ``(src, dst)`` pairs; an edge endpoint absent from the map raises
+    ``ValueError``.
     """
 
     def __init__(self, labels: Mapping[int, str],
@@ -135,9 +141,16 @@ class AdjGraph:
         self.label: Dict[int, str] = dict(labels)
         self.out: Dict[int, List[int]] = {u: [] for u in self.label}
         self.inn: Dict[int, List[int]] = {u: [] for u in self.label}
+        self.nbrs: Dict[int, List[Tuple[int, str]]] = {u: [] for u in self.label}
         for s, d in edges:
+            for x in (s, d):
+                if x not in self.label:
+                    raise ValueError(
+                        f"dangling edge endpoint {x} in edge ({s}, {d})")
             self.out[s].append(d)
             self.inn[d].append(s)
+            self.nbrs[s].append((d, "out"))
+            self.nbrs[d].append((s, "in"))
 
     @staticmethod
     def build(nodes_pd: pd.DataFrame, edges_pd: pd.DataFrame) -> "AdjGraph":
@@ -145,3 +158,35 @@ class AdjGraph:
         return AdjGraph(
             dict(zip(nodes_pd["id"].astype(int), nodes_pd["label"])),
             zip(edges_pd["src"].astype(int), edges_pd["dst"].astype(int)))
+
+    def step(self, u: int, direction: str) -> List[int]:
+        """``u``'s neighbours in one ``nbrs`` direction (``"out"``/``"in"``)."""
+        return self.out[u] if direction == "out" else self.inn[u]
+
+    @cached_property
+    def by_label(self) -> Dict[str, List[int]]:
+        """Label -> the node ids carrying it, in node order."""
+        idx: Dict[str, List[int]] = {}
+        for u, lab in self.label.items():
+            idx.setdefault(lab, []).append(u)
+        return idx
+
+    def bfs(self, src: int) -> Dict[int, int]:
+        """Undirected hop distance of every node reachable from ``src``,
+        keyed in visit order (neighbours in ``nbrs`` order)."""
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            x = queue.popleft()
+            for y, _ in self.nbrs[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        return dist
+
+    def bfs_order(self) -> List[int]:
+        """Undirected BFS order from the first node of maximum degree;
+        nodes it does not reach follow in node order."""
+        start = max(self.label, key=lambda u: len(self.nbrs[u]))
+        seen = self.bfs(start)
+        return list(seen) + [u for u in self.label if u not in seen]

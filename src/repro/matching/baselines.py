@@ -19,7 +19,8 @@ parallel axis (``run_baseline_parallel``).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Set, Tuple
 
 from pyspark.sql import SparkSession
 
@@ -41,42 +42,20 @@ def tspan_like(q: Query, data: AdjGraph, max_missing: int,
     thresholds (otherwise TSpan-3 exhausts its search budget on queries
     TSpan-1 solves instantly).
     """
+    if any(l not in data.by_label for l in q.labels.values()):
+        return None  # a query label absent from the data: no results
+    qg = AdjGraph(q.labels, q.edges)
     for x in range(max_missing + 1):
-        r = _tspan_search(q, data, x, node_budget)
+        r = _tspan_search(qg, set(q.edges), data, x, node_budget)
         if r is not None:
             return r
     return None
 
 
-def _tspan_search(q: Query, data: AdjGraph, max_missing: int,
-                  node_budget: int) -> Optional[Dict[int, int]]:
+def _tspan_search(q: AdjGraph, edge_set: Set[Pair], data: AdjGraph,
+                  max_missing: int, node_budget: int) -> Optional[Dict[int, int]]:
     """Branch-and-bound search at one missing-edge threshold."""
-    by_label: Dict[str, List[int]] = {}
-    for w, l in data.label.items():
-        by_label.setdefault(l, []).append(w)
-    if any(l not in by_label for l in q.labels.values()):
-        return None  # a query label absent from the data: no results
-    # query order: BFS from the max-degree node over undirected edges
-    und: Dict[int, List[Tuple[int, str]]] = {i: [] for i in q.labels}
-    for s, d in q.edges:
-        und[s].append((d, "out"))
-        und[d].append((s, "in"))
-    start = max(q.labels, key=lambda i: len(und[i]))
-    order: List[int] = [start]
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop(0)
-        for y, _ in und[x]:
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-                queue.append(y)
-    for i in q.labels:  # disconnected query nodes last
-        if i not in seen:
-            order.append(i)
-
-    edge_set = set(q.edges)
+    order = q.bfs_order()
     best: Dict[str, object] = {"miss": max_missing + 1, "assign": None}
     budget = {"n": node_budget}
 
@@ -110,11 +89,11 @@ def _tspan_search(q: Query, data: AdjGraph, max_missing: int,
             for pool in pools:
                 for w in pool:
                     if w not in cset and w not in used \
-                            and data.label[w] == q.labels[qi]:
+                            and data.label[w] == q.label[qi]:
                         cset.add(w)
                         cands.append(w)
         if not assign or miss + 1 <= max_missing:
-            for w in by_label[q.labels[qi]][:200]:
+            for w in data.by_label[q.label[qi]][:200]:
                 if w not in cset and w not in used:
                     cset.add(w)
                     cands.append(w)
@@ -137,29 +116,22 @@ def _tspan_search(q: Query, data: AdjGraph, max_missing: int,
 
 # -------------------------------------------------------------- NAGA-like
 
-def _neighbor_label_counts(w: int, data: AdjGraph) -> Dict[str, int]:
-    c: Dict[str, int] = {}
-    for n in data.out[w] + data.inn[w]:
-        l = data.label[n]
-        c[l] = c.get(l, 0) + 1
-    return c
+def _label_counts(g: AdjGraph, nodes: List[int]) -> Counter:
+    return Counter(g.label[n] for n in nodes)
 
 
 def naga_like(q: Query, data: AdjGraph) -> Dict[int, int]:
     """Chi-square neighbor-statistics similarity + seed-and-expand."""
-    qadj: Dict[int, List[int]] = {i: [] for i in q.labels}
-    for s, d in q.edges:
-        qadj[s].append(d)
-        qadj[d].append(s)
+    qg = AdjGraph(q.labels, q.edges)
     qcounts = {
-        i: _count_labels([q.labels[j] for j in qadj[i]]) for i in q.labels
+        i: _label_counts(qg, [j for j, _ in qg.nbrs[i]]) for i in qg.label
     }
     score: Dict[Pair, float] = {}
-    for i, ql in q.labels.items():
+    for i, ql in qg.label.items():
         for w, wl in data.label.items():
             if wl != ql:
                 continue
-            wc = _neighbor_label_counts(w, data)
+            wc = _label_counts(data, data.out[w] + data.inn[w])
             chi = 0.0
             for l in set(qcounts[i]) | set(wc):
                 o = qcounts[i].get(l, 0)
@@ -169,43 +141,17 @@ def naga_like(q: Query, data: AdjGraph) -> Dict[int, int]:
     return seed_expand(q, score, data)
 
 
-def _count_labels(labels: List[str]) -> Dict[str, int]:
-    c: Dict[str, int] = {}
-    for l in labels:
-        c[l] = c.get(l, 0) + 1
-    return c
-
-
 # ----------------------------------------------------------- GFinder-like
 
 def gfinder_like(q: Query, data: AdjGraph, beam: int = 8,
                  cand_cap: int = 60) -> Dict[int, int]:
     """Beam search minimizing missing-edge + label-mismatch cost."""
-    und: Dict[int, List[int]] = {i: [] for i in q.labels}
-    for s, d in q.edges:
-        und[s].append(d)
-        und[d].append(s)
-    start = max(q.labels, key=lambda i: len(und[i]))
-    order = [start]
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop(0)
-        for y in und[x]:
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-                queue.append(y)
-    for i in q.labels:
-        if i not in seen:
-            order.append(i)
+    qg = AdjGraph(q.labels, q.edges)
+    order = qg.bfs_order()
     edge_set = set(q.edges)
-    by_label: Dict[str, List[int]] = {}
-    for w, l in data.label.items():
-        by_label.setdefault(l, []).append(w)
 
     def step_cost(qi: int, w: int, assign: Dict[int, int]) -> float:
-        c = 0.0 if data.label[w] == q.labels[qi] else 2.0
+        c = 0.0 if data.label[w] == qg.label[qi] else 2.0
         for qj, wj in assign.items():
             if (qi, qj) in edge_set and wj not in data.out[w]:
                 c += 1.0
@@ -229,7 +175,7 @@ def gfinder_like(q: Query, data: AdjGraph, beam: int = 8,
                         if w not in used and w not in cset:
                             cset.add(w)
                             cands.append(w)
-            for w in by_label.get(q.labels[qi], [])[:cand_cap]:
+            for w in data.by_label.get(qg.label[qi], [])[:cand_cap]:
                 if w not in used and w not in cset:
                     cset.add(w)
                     cands.append(w)
@@ -273,7 +219,7 @@ def run_baseline_parallel(
         if which == "gfinder":
             return f1_match(q, gfinder_like(q, d))
         if which == "strong":
-            phi = strong_simulation_match(q.labels, q.edges, d.label, d.out, d.inn)
+            phi = strong_simulation_match(q.labels, q.edges, d)
             return f1_match_nodeset(q, phi)
         raise ValueError(which)
 

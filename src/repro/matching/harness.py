@@ -75,11 +75,7 @@ def seed_expand(
     """
     if not score:
         return {}
-    # direction-annotated query adjacency
-    nbrs: Dict[int, List[Tuple[int, str]]] = {i: [] for i in q.labels}
-    for s, d in q.edges:
-        nbrs[s].append((d, "out"))
-        nbrs[d].append((s, "in"))
+    qg = AdjGraph(q.labels, q.edges)
     # candidates per query node, best first
     by_q: Dict[int, List[Tuple[float, int]]] = {}
     for (qq, m), sc in score.items():
@@ -109,12 +105,11 @@ def seed_expand(
         while frontier:
             qa = frontier.popleft()
             ma = assigned[qa]
-            for qb, direction in nbrs[qa]:
+            for qb, direction in qg.nbrs[qa]:
                 if qb not in pending:
                     continue
-                cands = data.out[ma] if direction == "out" else data.inn[ma]
                 best: Optional[Tuple[float, int]] = None
-                for m in cands:
+                for m in data.step(ma, direction):
                     if m in used:
                         continue
                     sc = score.get((qb, m))

@@ -15,13 +15,8 @@ from typing import Optional
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..core.configs import symmetrize
 from ..graphs.model import Graph
-
-
-def _undirected(g: Graph) -> DataFrame:
-    fwd = g.edges.select("src", "dst")
-    bwd = g.edges.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
-    return fwd.unionByName(bwd).distinct()
 
 
 def gram_counts(g: Graph, q: int = 3,
@@ -33,7 +28,7 @@ def gram_counts(g: Graph, q: int = 3,
     """
     lab = g.nodes.select("id", "label")
     start = sources.join(lab, "id") if sources is not None else lab
-    und = _undirected(g)
+    und = symmetrize(g).edges
     # frontier: (id, cur, gram) — walk from id currently at node cur
     frontier = start.select("id", F.col("id").alias("cur"),
                             F.col("label").alias("gram"))

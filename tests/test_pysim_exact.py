@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from repro.core.reference import FSimConfig, fsim_reference
 from repro.exact.pysim import (ball, chi_simulated, exact_simulation_py,
                                maximal_dual_sim, query_diameter,
                                strong_simulation_match)
+from repro.graphs.model import AdjGraph
 from repro.graphs.toy import (G1_EDGES, G1_LABELS, G2_EDGES, G2_LABELS,
                               PAPER_TABLE2, U, V)
 
@@ -77,6 +79,15 @@ class TestBasicSemantics:
         assert chi_simulated(l1, e1, l2, e2, 0, 0, "dp")
         assert not chi_simulated(l1, e1, l2, e2, 0, 0, "bj")
 
+    def test_dangling_edge_raises_value_error(self):
+        # edge (0, 1) names node 1, which has no label
+        with pytest.raises(ValueError, match="endpoint 1"):
+            AdjGraph({0: "A"}, [(0, 1)])
+        with pytest.raises(ValueError, match="endpoint 1"):
+            fsim_reference({0: "A"}, [(0, 1)], {0: "A"}, [], FSimConfig())
+        with pytest.raises(ValueError, match="endpoint 1"):
+            exact_simulation_py({0: "A"}, [], {0: "A"}, [(0, 1)], "s")
+
     def test_in_neighbors_matter(self):
         # same out-structure, u has an in-edge that v lacks
         l1 = {0: "A", 1: "C"}
@@ -116,54 +127,44 @@ class TestStrictnessHierarchy:
 
 class TestDualSimAndStrong:
     def test_query_diameter_path(self):
-        assert query_diameter({0: "A", 1: "B", 2: "C"}, [(0, 1), (1, 2)]) == 2
+        assert query_diameter(
+            AdjGraph({0: "A", 1: "B", 2: "C"}, [(0, 1), (1, 2)])) == 2
 
     def test_query_diameter_star(self):
-        assert query_diameter({0: "A", 1: "B", 2: "B"}, [(0, 1), (0, 2)]) == 2
+        assert query_diameter(
+            AdjGraph({0: "A", 1: "B", 2: "B"}, [(0, 1), (0, 2)])) == 2
 
     def test_ball_radius_zero(self):
-        out = {0: [1], 1: []}
-        inn = {0: [], 1: [0]}
-        assert ball(0, 0, out, inn) == {0}
+        data = AdjGraph({0: "A", 1: "A"}, [(0, 1)])
+        assert ball(0, 0, data) == {0}
 
     def test_ball_expands(self):
-        out = {0: [1], 1: [2], 2: []}
-        inn = {0: [], 1: [0], 2: [1]}
-        assert ball(0, 1, out, inn) == {0, 1}
-        assert ball(0, 2, out, inn) == {0, 1, 2}
+        data = AdjGraph({0: "A", 1: "A", 2: "A"}, [(0, 1), (1, 2)])
+        assert ball(0, 1, data) == {0, 1}
+        assert ball(0, 2, data) == {0, 1, 2}
 
     def test_dual_sim_exact_embedding_survives(self):
-        dlabel = {10: "A", 11: "B", 12: "C"}
-        dout = {10: [11], 11: [12], 12: []}
-        dinn = {10: [], 11: [10], 12: [11]}
-        cand = maximal_dual_sim({0: "A", 1: "B"}, [(0, 1)], dlabel, dout, dinn)
+        data = AdjGraph({10: "A", 11: "B", 12: "C"}, [(10, 11), (11, 12)])
+        cand = maximal_dual_sim(AdjGraph({0: "A", 1: "B"}, [(0, 1)]), data)
         assert 10 in cand[0] and 11 in cand[1]
 
     def test_dual_sim_prunes_impossible(self):
-        dlabel = {10: "A", 11: "B", 20: "A"}
-        dout = {10: [11], 11: [], 20: []}
-        dinn = {10: [], 11: [10], 20: []}
-        cand = maximal_dual_sim({0: "A", 1: "B"}, [(0, 1)], dlabel, dout, dinn)
+        data = AdjGraph({10: "A", 11: "B", 20: "A"}, [(10, 11)])
+        cand = maximal_dual_sim(AdjGraph({0: "A", 1: "B"}, [(0, 1)]), data)
         assert cand[0] == {10}  # node 20 has no B-child
 
     def test_strong_simulation_finds_exact_match(self):
-        dlabel = {10: "A", 11: "B", 12: "C", 13: "D"}
-        dout = {10: [11], 11: [12], 12: [], 13: [10]}
-        dinn = {10: [13], 11: [10], 12: [11], 13: []}
-        phi = strong_simulation_match({0: "A", 1: "B"}, [(0, 1)],
-                                      dlabel, dout, dinn)
+        data = AdjGraph({10: "A", 11: "B", 12: "C", 13: "D"},
+                        [(10, 11), (11, 12), (13, 10)])
+        phi = strong_simulation_match({0: "A", 1: "B"}, [(0, 1)], data)
         assert phi == {10, 11}
 
     def test_strong_simulation_none_when_label_absent(self):
-        phi = strong_simulation_match({0: "Z"}, [], {10: "A"},
-                                      {10: []}, {10: []})
+        phi = strong_simulation_match({0: "Z"}, [], AdjGraph({10: "A"}, []))
         assert phi is None
 
     def test_strong_simulation_none_when_structure_missing(self):
         # query needs A->B but data has no such edge
-        dlabel = {10: "A", 11: "B"}
-        dout = {10: [], 11: []}
-        dinn = {10: [], 11: []}
-        phi = strong_simulation_match({0: "A", 1: "B"}, [(0, 1)],
-                                      dlabel, dout, dinn)
+        data = AdjGraph({10: "A", 11: "B"}, [])
+        phi = strong_simulation_match({0: "A", 1: "B"}, [(0, 1)], data)
         assert phi is None

@@ -82,6 +82,16 @@ class TestSeedExpand:
         a = seed_expand(q, score, DATA)
         assert len(set(a.values())) == len(a)
 
+    def test_edge_order_settles_competing_neighbours(self):
+        # query node 0's in-edge (2, 0) is listed before its out-edge
+        # (0, 1); nodes 1 and 2 compete for data node 11, the only B
+        # neighbour of 10 on either side, so edge order makes 2 win
+        q = Query(labels={0: "A", 1: "B", 2: "B"}, edges=[(2, 0), (0, 1)],
+                  origin={0: 10, 1: 11, 2: 11})
+        data = _adj({10: "A", 11: "B"}, [(10, 11), (11, 10)])
+        score = {(0, 10): 1.0, (1, 11): 0.5, (2, 11): 0.5}
+        assert seed_expand(q, score, data) == {0: 10, 2: 11}
+
     def test_multi_seed_recovers_disconnected_regions(self):
         # query node 2's candidates exclude data neighbors of node 1's
         # match: it must be re-seeded, not dropped
