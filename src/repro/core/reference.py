@@ -37,7 +37,7 @@ class FSimConfig:
     cross products on large graphs.
     """
 
-    variant: str = "s"  # 's' | 'dp' | 'b' | 'bj'
+    variant: str = "s"  # 's' | 'dp' | 'b' | 'bj' | 'simrank'
     w_out: float = 0.4
     w_in: float = 0.4
     label_fn: str | Callable[[str, str], float] = "indicator"
@@ -60,11 +60,18 @@ class FSimConfig:
         if not 0.0 < self.w_out + self.w_in < 1.0:
             raise ValueError(f"w_out + w_in = {self.w_out + self.w_in} must lie "
                              "in (0, 1)")
+        if isinstance(self.label_fn, str) and self.label_fn not in LABEL_FNS:
+            raise ValueError(f"unknown label_fn {self.label_fn!r}; expected "
+                             f"a callable or one of {tuple(LABEL_FNS)}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta={self.theta} must lie in [0, 1]")
         # frozen scores are alpha * ub, so alpha > 1 breaks P1
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha={self.alpha} must lie in [0, 1]")
+        # 0 is legal: Theorem 4 at k = 0 keeps the initial scores
+        if self.exact_iters is not None and self.exact_iters < 0:
+            raise ValueError(f"exact_iters={self.exact_iters} must be "
+                             "non-negative")
 
     @property
     def w_label(self) -> float:

@@ -14,8 +14,8 @@ and the exact-simulation baselines of the case studies:
   relation covers all query nodes.
 
 Driver-side by design: each instance (a query, a toy graph) is tiny.
-The Spark fixpoint over whole graphs lives in ``exact/simulation.py``;
-the two are cross-checked in tests.
+``exact_simulation_py`` is the only exact-simulation kernel: Table 2's
+verdicts and the P2 definiteness tests read it.
 """
 from __future__ import annotations
 
@@ -25,6 +25,9 @@ from ..core.ops import kuhn_saturating
 from ..graphs.model import AdjGraph
 
 Pair = Tuple[int, int]
+
+# 'simrank' is an engine configuration, not an exact simulation
+VARIANTS = ("s", "dp", "b", "bj")
 
 
 def _cond_holds(variant: str, g1: AdjGraph, g2: AdjGraph, u: int, v: int,
@@ -64,6 +67,9 @@ def exact_simulation_py(
     variant: str = "s",
 ) -> Set[Pair]:
     """The maximal chi-simulation relation R between two graphs."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of "
+                         f"{VARIANTS}")
     g1 = AdjGraph(labels1, edges1)
     g2 = AdjGraph(labels2, edges2)
     r: Set[Pair] = {

@@ -7,10 +7,11 @@ Here a :class:`Graph` holds two DataFrames:
 - ``nodes``: columns ``id:long, label:string`` (one row per node),
 - ``edges``: columns ``src:long, dst:long`` (one row per directed edge).
 
-All downstream algorithms (FSim, exact simulation, k-bisimulation, the
-case-study baselines) consume this representation. Helpers compute
+The Spark algorithms (FSim, k-bisimulation, the meta-path, nSimGram and
+alignment baselines) consume this representation. Helpers compute
 degrees and the Table-4 statistics. :class:`AdjGraph` is the
-driver-side adjacency-list form that every small Python kernel reads.
+driver-side adjacency-list form that every small Python kernel, exact
+simulation included, reads.
 """
 from __future__ import annotations
 

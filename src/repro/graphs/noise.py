@@ -1,75 +1,21 @@
-"""Graph perturbation and query extraction (pandas-level).
+"""Query extraction and per-query noise (Section 5.4, Table 6).
 
-Implements the paper's experimental protocols:
+- ``extract_query`` / ``make_workload``: random connected subgraphs of
+  the data graph, |Q| in [3, 13], which serve as their own ground truth;
+- ``noise_query``: the Table-6 scenarios applied to one query —
+  "Noisy-E" inserts edges, "Noisy-L" reassigns node labels, each up to
+  33% of the query, and "Combined" does both.
 
-- structural errors: randomly add / remove edges (Fig. 5, Table 6
-  "Noisy-E": insert edges, up to 33% of the query's edges);
-- label errors: randomly reassign node labels (Table 6 "Noisy-L");
-- query extraction: random connected subgraphs of the data graph,
-  |Q| in [3, 13], which serve as their own ground truth (Section 5.4).
-
-These run on pandas frames because queries and per-query noise are tiny;
-the noisy *data-graph* variants are converted back to Spark Graphs by
-the callers.
+Queries are tiny, so this runs on the driver over the data graph's
+pandas frames; the data graph itself is never perturbed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 import pandas as pd
-
-
-def add_random_edges(edges: pd.DataFrame, n_nodes: int, frac: float,
-                     seed: int = 0) -> pd.DataFrame:
-    """Insert ``frac * |E|`` random non-duplicate edges."""
-    rng = np.random.default_rng(seed)
-    k = int(len(edges) * frac)
-    if k == 0:
-        return edges.copy()
-    existing = set(zip(edges.src, edges.dst))
-    rows: List[Tuple[int, int]] = []
-    attempts = 0
-    while len(rows) < k and attempts < 50 * k + 100:
-        s, d = int(rng.integers(n_nodes)), int(rng.integers(n_nodes))
-        attempts += 1
-        if s != d and (s, d) not in existing:
-            existing.add((s, d))
-            rows.append((s, d))
-    return pd.concat(
-        [edges, pd.DataFrame(rows, columns=["src", "dst"], dtype="int64")],
-        ignore_index=True,
-    )
-
-
-def remove_random_edges(edges: pd.DataFrame, frac: float, seed: int = 0) -> pd.DataFrame:
-    """Drop ``frac * |E|`` random edges."""
-    rng = np.random.default_rng(seed)
-    k = int(len(edges) * frac)
-    if k == 0:
-        return edges.copy()
-    drop = rng.choice(len(edges), size=k, replace=False)
-    return edges.drop(edges.index[drop]).reset_index(drop=True)
-
-
-def corrupt_labels(nodes: pd.DataFrame, frac: float, seed: int = 0) -> pd.DataFrame:
-    """Reassign ``frac * |V|`` node labels to a *different* existing label."""
-    rng = np.random.default_rng(seed)
-    out = nodes.copy().reset_index(drop=True)
-    k = int(len(out) * frac)
-    if k == 0:
-        return out
-    pool = sorted(out.label.unique())
-    if len(pool) < 2:
-        return out
-    idx = rng.choice(len(out), size=k, replace=False)
-    for i in idx:
-        cur = out.at[i, "label"]
-        alternatives = [l for l in pool if l != cur]
-        out.at[i, "label"] = alternatives[int(rng.integers(len(alternatives)))]
-    return out
-
 
 # ------------------------------------------------------------------ queries
 

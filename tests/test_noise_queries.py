@@ -1,62 +1,13 @@
-"""Noise injection and query extraction (graphs/noise)."""
-import numpy as np
-import pandas as pd
+"""Query extraction and per-query noise (graphs/noise)."""
 import pytest
 
 from repro.graphs.generators import labeled_powerlaw_pd
-from repro.graphs.noise import (add_random_edges, corrupt_labels,
-                                extract_query, make_workload, noise_query,
-                                remove_random_edges)
+from repro.graphs.noise import extract_query, make_workload, noise_query
 
 
 @pytest.fixture(scope="module")
 def small_graph():
     return labeled_powerlaw_pd(120, 320, 6, seed=12)
-
-
-class TestEdgeNoise:
-    def test_add_count(self, small_graph):
-        _, edges = small_graph
-        out = add_random_edges(edges, 120, 0.1, seed=1)
-        assert len(out) == len(edges) + int(len(edges) * 0.1)
-
-    def test_add_no_dups(self, small_graph):
-        _, edges = small_graph
-        out = add_random_edges(edges, 120, 0.2, seed=1)
-        assert not out.duplicated().any()
-
-    def test_add_zero_frac(self, small_graph):
-        _, edges = small_graph
-        out = add_random_edges(edges, 120, 0.0, seed=1)
-        pd.testing.assert_frame_equal(out, edges)
-
-    def test_remove_count(self, small_graph):
-        _, edges = small_graph
-        out = remove_random_edges(edges, 0.25, seed=2)
-        assert len(out) == len(edges) - int(len(edges) * 0.25)
-
-    def test_removed_subset(self, small_graph):
-        _, edges = small_graph
-        out = remove_random_edges(edges, 0.25, seed=2)
-        assert set(zip(out.src, out.dst)) <= set(zip(edges.src, edges.dst))
-
-
-class TestLabelNoise:
-    def test_corrupt_count(self, small_graph):
-        nodes, _ = small_graph
-        out = corrupt_labels(nodes, 0.2, seed=3)
-        changed = (out.label != nodes.reset_index(drop=True).label).sum()
-        assert changed == int(len(nodes) * 0.2)
-
-    def test_corrupt_uses_existing_labels(self, small_graph):
-        nodes, _ = small_graph
-        out = corrupt_labels(nodes, 0.3, seed=3)
-        assert set(out.label) <= set(nodes.label)
-
-    def test_single_label_graph_unchanged(self):
-        nodes = pd.DataFrame({"id": [0, 1], "label": ["A", "A"]})
-        out = corrupt_labels(nodes, 0.5, seed=1)
-        assert (out.label == "A").all()
 
 
 class TestQueryExtraction:

@@ -88,6 +88,12 @@ class TestBasicSemantics:
         with pytest.raises(ValueError, match="endpoint 1"):
             exact_simulation_py({0: "A"}, [], {0: "A"}, [(0, 1)], "s")
 
+    def test_unknown_variant_raises(self):
+        # simrank is an engine configuration, not an exact simulation
+        with pytest.raises(ValueError, match="simrank"):
+            exact_simulation_py(G1_LABELS, G1_EDGES, G2_LABELS, G2_EDGES,
+                                "simrank")
+
     def test_in_neighbors_matter(self):
         # same out-structure, u has an in-edge that v lacks
         l1 = {0: "A", 1: "C"}

@@ -234,6 +234,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="alpha"):
             FSimConfig(variant="s", upper_bound=True, alpha=alpha)
 
+    def test_rejects_unknown_label_fn(self):
+        with pytest.raises(ValueError, match="jaro.*jaro_winkler"):
+            FSimConfig(label_fn="jaro")
+
+    def test_rejects_negative_exact_iters(self):
+        with pytest.raises(ValueError, match="exact_iters"):
+            FSimConfig(exact_iters=-1)
+        # zero is Theorem 4 at k = 0, and a callable L stays legal
+        FSimConfig(exact_iters=0, label_fn=lambda a, b: 1.0)
+
     def test_w_label_property(self):
         cfg = FSimConfig(variant="s", w_out=0.3, w_in=0.3)
         assert cfg.w_label == pytest.approx(0.4)
