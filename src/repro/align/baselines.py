@@ -1,9 +1,11 @@
 """Alignment baselines for Table 9 (simplified re-implementations).
 
+Each runs on the driver over two ``AdjGraph`` graphs.
+
 - ``kbisim_align_f1``: align u to all v with equal k-bisimulation
-  signatures (exactly the paper's protocol for the x-bisim rows).
+  colours (exactly the paper's protocol for the x-bisim rows).
 - ``olap_align_f1``: Olap-like [7] best-effort bisimulation alignment —
-  per node, use the deepest signature level that still has matches.
+  per node, use the deepest colour level that still has matches.
 - ``final_align_f1``: FINAL-like [46] — iterative attributed similarity
   ``S = (1 - lam) H + lam * P1^T S P2`` (numpy; the graphs are small
   and the original is a Matlab matrix method).
@@ -14,83 +16,63 @@
 """
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import SparkSession
 
-from ..exact.kbisim import kbisim_refine, kbisim_signatures
-from ..graphs.model import AdjGraph, Graph
+from ..exact.kbisim import Colouring, kbisim_levels
+from ..graphs.model import AdjGraph
 from .harness import identity_f1
 
 
-def _ids_by_sig(sigs: pd.DataFrame) -> Dict[str, Set[int]]:
-    """Signature -> the node ids carrying it, from an ``(id, sig)`` frame."""
-    by_sig: Dict[str, Set[int]] = {}
-    for i, s in zip(sigs["id"], sigs["sig"]):
-        by_sig.setdefault(s, set()).add(int(i))
-    return by_sig
+def _align_on_colour(c1: Colouring, c2: Colouring) -> Dict[int, Set[int]]:
+    """u -> the nodes of the second graph sharing u's colour."""
+    by_colour: Dict[int, Set[int]] = {}
+    for v, c in c2.items():
+        by_colour.setdefault(c, set()).add(v)
+    return {u: by_colour.get(c, set()) for u, c in c1.items()}
 
 
 # --------------------------------------------------------------- k-bisim
 
-def kbisim_align(spark: SparkSession, g1: Graph, g2: Graph,
-                 k: int) -> Dict[int, Set[int]]:
-    s1 = kbisim_signatures(spark, g1, k).toPandas()
-    by_sig = _ids_by_sig(kbisim_signatures(spark, g2, k).toPandas())
-    return {int(i): by_sig.get(s, set()) for i, s in zip(s1["id"], s1["sig"])}
+def kbisim_align(g1: AdjGraph, g2: AdjGraph, k: int) -> Dict[int, Set[int]]:
+    return _align_on_colour(*kbisim_levels([g1, g2], k)[k])
 
 
-def kbisim_align_f1(spark: SparkSession, g1: Graph, g2: Graph, k: int) -> float:
-    return identity_f1(kbisim_align(spark, g1, g2, k), g1)
+def kbisim_align_f1(g1: AdjGraph, g2: AdjGraph, k: int) -> float:
+    return identity_f1(kbisim_align(g1, g2, k), g1.label)
 
 
-def olap_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
-                  max_k: int = 5) -> float:
+def olap_align(g1: AdjGraph, g2: AdjGraph,
+               max_k: int = 5) -> Dict[int, Set[int]]:
     """Best-effort bisimulation alignment: deepest level with matches."""
-    def levels(g: Graph) -> List[pd.DataFrame]:
-        sig = kbisim_signatures(spark, g, 0)
-        out = [sig.toPandas()]
-        for _ in range(max_k):
-            sig = kbisim_refine(g, sig)
-            out.append(sig.toPandas())
-        return out
-
-    sig1 = levels(g1)
-    by_sig = [_ids_by_sig(s2) for s2 in levels(g2)]
     align: Dict[int, Set[int]] = {}
-    for k in range(max_k + 1):  # deeper levels overwrite when non-empty
-        for i, s in zip(sig1[k]["id"], sig1[k]["sig"]):
-            m = by_sig[k].get(s)
-            if m:
-                align[int(i)] = m
-    return identity_f1(align, g1)
+    for c1, c2 in kbisim_levels([g1, g2], max_k):
+        # deeper levels overwrite when non-empty
+        align.update((u, m) for u, m in _align_on_colour(c1, c2).items() if m)
+    return align
+
+
+def olap_align_f1(g1: AdjGraph, g2: AdjGraph, max_k: int = 5) -> float:
+    return identity_f1(olap_align(g1, g2, max_k), g1.label)
 
 
 # ----------------------------------------------------------- FINAL-like
 
-def _collect(g: Graph) -> Tuple[pd.DataFrame, pd.DataFrame]:
-    return g.nodes.toPandas(), g.edges.toPandas()
+def _sym_adjacency(g: AdjGraph) -> np.ndarray:
+    """Undirected 0/1 adjacency matrix, rows and columns in node order."""
+    pos = {u: k for k, u in enumerate(g.label)}
+    a = np.zeros((len(pos), len(pos)))
+    for s, outs in g.out.items():
+        for d in outs:
+            a[pos[s], pos[d]] = a[pos[d], pos[s]] = 1.0
+    return a
 
 
-def final_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
+def final_align_f1(g1: AdjGraph, g2: AdjGraph,
                    lam: float = 0.8, iters: int = 15) -> float:
-    n1pd, e1pd = _collect(g1)
-    n2pd, e2pd = _collect(g2)
-    ids1 = n1pd["id"].astype(int).to_numpy()
-    ids2 = n2pd["id"].astype(int).to_numpy()
-    pos1 = {i: k for k, i in enumerate(ids1)}
-    pos2 = {i: k for k, i in enumerate(ids2)}
-    n1, n2 = len(ids1), len(ids2)
-    a1 = np.zeros((n1, n1))
-    for s, d in zip(e1pd["src"], e1pd["dst"]):
-        a1[pos1[int(s)], pos1[int(d)]] = 1.0
-        a1[pos1[int(d)], pos1[int(s)]] = 1.0
-    a2 = np.zeros((n2, n2))
-    for s, d in zip(e2pd["src"], e2pd["dst"]):
-        a2[pos2[int(s)], pos2[int(d)]] = 1.0
-        a2[pos2[int(d)], pos2[int(s)]] = 1.0
+    ids1, ids2 = list(g1.label), list(g2.label)
+    a1, a2 = _sym_adjacency(g1), _sym_adjacency(g2)
     p1 = a1 / np.maximum(a1.sum(axis=1, keepdims=True), 1.0)
     p2 = a2 / np.maximum(a2.sum(axis=1, keepdims=True), 1.0)
     # attribute prior: label consistency weighted by degree similarity
@@ -99,8 +81,9 @@ def final_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
     d1 = np.maximum(a1.sum(axis=1), 1.0)
     d2 = np.maximum(a2.sum(axis=1), 1.0)
     dr = np.minimum(d1[:, None], d2[None, :]) / np.maximum(d1[:, None], d2[None, :])
-    h = (n1pd["label"].to_numpy()[:, None] == n2pd["label"].to_numpy()[None, :]) \
-        .astype("float64") * dr
+    lab1 = np.array(list(g1.label.values()), dtype=object)
+    lab2 = np.array(list(g2.label.values()), dtype=object)
+    h = (lab1[:, None] == lab2[None, :]).astype("float64") * dr
     s = h.copy()
     for _ in range(iters):
         s = (1 - lam) * h + lam * (p1 @ s @ p2.T)
@@ -110,18 +93,16 @@ def final_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
         row = s[k]
         m = row.max()
         if np.isfinite(m):
-            align[int(u)] = {int(ids2[j]) for j in np.nonzero(row >= m - 1e-12)[0]}
-    return identity_f1(align, g1)
+            align[u] = {ids2[j] for j in np.nonzero(row >= m - 1e-12)[0]}
+    return identity_f1(align, g1.label)
 
 
 # ------------------------------------------------------------- EWS-like
 
-def ews_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
-                 n_seeds: int = 30, min_witness: int = 2,
-                 seed: int = 5) -> float:
+def ews_align_f1(a1: AdjGraph, a2: AdjGraph, n_seeds: int = 30,
+                 min_witness: int = 2, seed: int = 5) -> float:
     """Seeded percolation: repeatedly add the candidate pair with the
     most matched neighbor pairs (witnesses), threshold ``min_witness``."""
-    a1, a2 = AdjGraph.build(*_collect(g1)), AdjGraph.build(*_collect(g2))
     rng = np.random.default_rng(seed)
     shared = sorted(set(a1.label) & set(a2.label))
     seeds = rng.choice(shared, size=min(n_seeds, len(shared)), replace=False)
@@ -150,15 +131,14 @@ def ews_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
                    if p[0] != u and p[1] != v}
         bump(u, v)
     align = {u: {v} for u, v in matched1.items()}
-    return identity_f1(align, g1)
+    return identity_f1(align, a1.label)
 
 
 # ------------------------------------------------------------ GSANA-like
 
-def gsana_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
-                   n_anchors: int = 4, seed: int = 9) -> float:
+def gsana_align_f1(a1: AdjGraph, a2: AdjGraph, n_anchors: int = 4,
+                   seed: int = 9) -> float:
     """Positional matching by BFS-distance-to-anchors feature vectors."""
-    a1, a2 = AdjGraph.build(*_collect(g1)), AdjGraph.build(*_collect(g2))
     rng = np.random.default_rng(seed)
     shared = sorted(set(a1.label) & set(a2.label))
     anchors = [int(a) for a in
@@ -186,4 +166,4 @@ def gsana_align_f1(spark: SparkSession, g1: Graph, g2: Graph,
             if best_d is None or d < best_d:
                 best_v, best_d = v, d
         align[u] = {best_v}
-    return identity_f1(align, g1)
+    return identity_f1(align, a1.label)

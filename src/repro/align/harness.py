@@ -12,7 +12,7 @@ shared node ids (URIs never change in the paper's RDF versions either).
 """
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Iterable, Set
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -44,9 +44,9 @@ def f1_alignment(align: Dict[int, Set[int]], truth: Dict[int, int],
     return 100.0 * total / n_total
 
 
-def identity_f1(align: Dict[int, Set[int]], g1: Graph) -> float:
-    """``f1_alignment`` against the identity map on ``g1``'s node ids."""
-    truth = {int(i): int(i) for i in g1.nodes.select("id").toPandas()["id"]}
+def identity_f1(align: Dict[int, Set[int]], ids: Iterable[int]) -> float:
+    """``f1_alignment`` against the identity map on G1's node ``ids``."""
+    truth = {int(i): int(i) for i in ids}
     return f1_alignment(align, truth, len(truth))
 
 
@@ -61,4 +61,5 @@ def fsim_align_f1(
                      label_fn="indicator", eps=eps,
                      upper_bound=upper_bound, alpha=0.0, beta=beta)
     pdf = fsim_spark(spark, g1, g2, cfg).toPandas()
-    return identity_f1(argmax_alignment(pdf), g1)
+    return identity_f1(argmax_alignment(pdf),
+                       g1.nodes.select("id").toPandas()["id"])

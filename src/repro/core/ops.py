@@ -6,8 +6,8 @@ mirror: scan candidate pairs in decreasing-score order and take every
 pair whose endpoints are both unused.
 
 Two implementations with identical semantics (cross-checked in tests):
-a pure-Python kernel (reference implementation, driver-side baselines)
-and a Catalyst higher-order-function fold applied to
+a pure-Python kernel (read by the reference implementation only) and a
+Catalyst higher-order-function fold applied to
 ``collect_list(struct(x, y, s))`` columns inside the Spark engine.
 The SQL form matters: an iterative loop that runs a pandas UDF every
 iteration degrades catastrophically after ~15 iterations (observed

@@ -6,8 +6,7 @@ distributed Spark engine (``core/fsim.py``) on small graphs — the
 graph-algorithm analogue of the DuckDB SQL oracle: two independent
 implementations of the same spec must produce identical scores.
 
-Also used directly by driver-side kernels where each problem instance
-is tiny (per-query pattern matching at workload scale).
+The tests and the benchmark's correctness check call it; no table does.
 """
 from __future__ import annotations
 
@@ -68,6 +67,13 @@ class FSimConfig:
         # frozen scores are alpha * ub, so alpha > 1 breaks P1
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha={self.alpha} must lie in [0, 1]")
+        # a fixed count, zero included, is exact_iters' job
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter={self.max_iter} must be at least 1; "
+                             "use exact_iters for a fixed count")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps={self.eps} must be positive, or the run "
+                             "never converges before max_iter")
         # 0 is legal: Theorem 4 at k = 0 keeps the initial scores
         if self.exact_iters is not None and self.exact_iters < 0:
             raise ValueError(f"exact_iters={self.exact_iters} must be "

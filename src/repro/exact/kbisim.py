@@ -1,108 +1,89 @@
-"""k-bisimulation signatures and the Weisfeiler-Lehman test.
+"""Colour refinement: k-bisimulation and the Weisfeiler-Lehman test.
 
 Substrates for Section 4.3's relation theorems:
 
-- Theorem 4: u and v are k-bisimilar (equal hash-refinement signatures
-  ``sig_k``, Luo et al. [21], out-neighbors only) iff
+- Theorem 4: u and v are k-bisimilar (equal level-k refinement
+  signatures, Luo et al. [21], out-neighbors only) iff
   ``FSim_b^k(u, v) = 1`` with ``G1 = G2`` and ``w- = 0``.
 - Theorem 5: the WL color-refinement test deems u, v equivalent iff
   ``FSim_bj(u, v) = 1`` on the undirected view.
 
-Signatures are computed distributedly (join + sort_array + sha2 per
-round); the Olap-like alignment baseline reads them level by level via
-``kbisim_refine``. The WL refinement is a small driver-side kernel, the
-Theorem-5 oracle of the tests.
+Both are one driver-side refinement loop over ``AdjGraph`` graphs that
+share one colour palette, so equal colour ints mean "equivalent" within
+one graph and across graphs. Table 9's 2-/4-bisim and Olap alignment
+baselines read the k-bisimulation levels; the WL test is the Theorem-5
+oracle of the tests.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-
-from ..graphs.model import Graph
+from ..graphs.model import AdjGraph
 
 Pair = Tuple[int, int]
+Colouring = Dict[int, int]
+#: ``(graph, previous colouring, node) -> the neighbourhood part of the key``
+NbrKey = Callable[[AdjGraph, Colouring, int], Tuple[int, ...]]
 
 
-def kbisim_signatures(spark: SparkSession, g: Graph, k: int) -> DataFrame:
-    """Per-node k-bisimulation signature: DataFrame ``(id, sig)``.
+def _refine(graphs: Sequence[AdjGraph],
+            nbr_key: NbrKey) -> Iterator[List[Colouring]]:
+    """Yield one colouring per graph at level 0 (labels), 1, 2, ...
 
-    ``sig_0 = label``; ``sig_i = kbisim_refine(g, sig_{i-1})``. Two
-    nodes are k-bisimilar iff their ``sig_k`` match [21].
+    A node's level-i colour interns ``(its level-(i-1) colour,
+    nbr_key(...))`` in a palette shared by all graphs and levels. Keys
+    of different levels never coincide, so each level's colours are
+    fresh ints, and two nodes share a colour iff they are equivalent at
+    that level.
     """
-    sig = g.nodes.select("id", F.col("label").alias("sig"))
-    for _ in range(k):
-        sig = kbisim_refine(g, sig)
-    return sig
+    palette: Dict[object, int] = {}
+
+    def intern(key) -> int:
+        return palette.setdefault(key, len(palette))
+
+    colours = [{u: intern(("L", lab)) for u, lab in g.label.items()}
+               for g in graphs]
+    while True:
+        yield colours
+        colours = [{u: intern((c[u], nbr_key(g, c, u))) for u in g.label}
+                   for g, c in zip(graphs, colours)]
 
 
-def kbisim_refine(g: Graph, sig: DataFrame) -> DataFrame:
-    """One refinement round: ``sig_i = H(sig_{i-1} || sorted *set* of
-    out-neighbors' sig_{i-1})``, from ``sig_{i-1}`` as ``(id, sig)``.
-
-    The neighborhood is a set, not a multiset (Theorem 4's proof: "the
-    set of signature values in u's neighborhood"), matching FSim_b's
-    reuse-allowing mapping.
-    """
-    nbsig = (
-        g.edges.join(
-            sig.select(F.col("id").alias("dst"), F.col("sig").alias("nsig")),
-            "dst",
-        )
-        .groupBy(F.col("src").alias("id"))
-        .agg(F.sort_array(F.collect_set("nsig")).alias("nsigs"))
-    )
-    return (
-        sig.join(nbsig, "id", "left")
-        .select(
-            "id",
-            F.sha2(
-                F.concat_ws("|", F.col("sig"), F.concat_ws(",", "nsigs")),
-                256,
-            ).alias("sig"),
-        )
-        .localCheckpoint()
-    )
+def _out_set(g: AdjGraph, c: Colouring, u: int) -> Tuple[int, ...]:
+    # a set, not a multiset (Theorem 4's proof: "the set of signature
+    # values in u's neighborhood"), matching FSim_b's reuse-allowing mapping
+    return tuple(sorted({c[n] for n in g.out[u]}))
 
 
-def kbisim_pairs(spark: SparkSession, g: Graph, k: int) -> DataFrame:
-    """All k-bisimilar pairs ``(u, v)`` of one graph (self-join on sig)."""
-    sig = kbisim_signatures(spark, g, k)
-    a = sig.select(F.col("id").alias("u"), "sig")
-    b = sig.select(F.col("id").alias("v"), "sig")
-    return a.join(b, "sig").select("u", "v")
+def _nbr_multiset(g: AdjGraph, c: Colouring, u: int) -> Tuple[int, ...]:
+    # a multiset on both sides, matching FSim_bj's injective mapping
+    return tuple(sorted(c[n] for n, _ in g.nbrs[u]))
+
+
+def kbisim_levels(graphs: Sequence[AdjGraph], k: int) -> List[List[Colouring]]:
+    """k-bisimulation colours at levels ``0..k``: ``levels[i][j][u]`` is
+    node ``u``'s colour in ``graphs[j]``; two nodes, of one graph or of
+    two, are i-bisimilar iff their level-i colours are equal [21]."""
+    return list(islice(_refine(graphs, _out_set), k + 1))
 
 
 # ----------------------------------------------------------------- WL test
 
 def wl_colors(labels: Dict[int, str], edges: List[Pair],
-              max_iters: int = 50) -> Dict[int, int]:
+              max_iters: int = 50) -> Colouring:
     """Undirected WL color refinement until stable (or ``max_iters``).
 
     Returns the final color id per node; run both graphs through one
-    call (disjoint-union ids) to compare across graphs.
+    call (disjoint-union ids) to compare across graphs. An edge endpoint
+    absent from ``labels`` raises ``ValueError``.
     """
-    adj: Dict[int, List[int]] = {u: [] for u in labels}
-    for s, d in edges:
-        adj[s].append(d)
-        adj[d].append(s)
-    palette: Dict[object, int] = {}
-
-    def intern(key) -> int:
-        if key not in palette:
-            palette[key] = len(palette)
-        return palette[key]
-
-    color = {u: intern(("L", l)) for u, l in labels.items()}
+    levels = _refine([AdjGraph(labels, edges)], _nbr_multiset)
+    color = next(levels)[0]
     n_colors = len(set(color.values()))
     for _ in range(max_iters):
-        new = {
-            u: intern((color[u], tuple(sorted(color[n] for n in adj[u]))))
-            for u in labels
-        }
-        new_n = len(set(new.values()))
-        color = new
+        color = next(levels)[0]
+        new_n = len(set(color.values()))
         if new_n == n_colors:
             break
         n_colors = new_n

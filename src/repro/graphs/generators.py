@@ -339,7 +339,3 @@ def evolving_graphs_pd(
         edges2 = pd.concat([prev_e, new_e], ignore_index=True).drop_duplicates()
         versions.append((nodes2, edges2.reset_index(drop=True)))
     return versions
-
-
-def evolving_graphs(spark: SparkSession, **kw) -> List[Graph]:
-    return [Graph.from_pandas(spark, n, e) for n, e in evolving_graphs_pd(**kw)]

@@ -7,11 +7,11 @@ Here a :class:`Graph` holds two DataFrames:
 - ``nodes``: columns ``id:long, label:string`` (one row per node),
 - ``edges``: columns ``src:long, dst:long`` (one row per directed edge).
 
-The Spark algorithms (FSim, k-bisimulation, the meta-path, nSimGram and
-alignment baselines) consume this representation. Helpers compute
-degrees and the Table-4 statistics. :class:`AdjGraph` is the
-driver-side adjacency-list form that every small Python kernel, exact
-simulation included, reads.
+The Spark algorithms (FSim and the meta-path and nSimGram baselines)
+consume this representation. Helpers compute degrees and the Table-4
+statistics. :class:`AdjGraph` is the driver-side adjacency-list form
+that every small Python kernel, exact simulation and colour refinement
+included, reads.
 """
 from __future__ import annotations
 
@@ -125,8 +125,9 @@ class Graph:
 
 class AdjGraph:
     """Driver-side adjacency lists: the one graph every small Python
-    kernel reads (the FSim reference, exact and strong simulation, seed
-    and expand, and the Table-6/9 baselines).
+    kernel reads (the FSim reference, exact and strong simulation,
+    k-bisimulation and WL colour refinement, seed and expand, and the
+    Table-6/9 baselines).
 
     ``label`` maps node id -> label; ``out``/``inn`` map node id -> its
     out-/in-neighbours in edge order; ``nbrs`` maps node id -> its

@@ -14,7 +14,8 @@ from pyspark.sql import SparkSession
 from ..align.baselines import (ews_align_f1, final_align_f1, gsana_align_f1,
                                kbisim_align_f1, olap_align_f1)
 from ..align.harness import fsim_align_f1
-from ..graphs.generators import evolving_graphs
+from ..graphs.generators import evolving_graphs_pd
+from ..graphs.model import AdjGraph, Graph
 
 #: Paper Table 9 (F1 %).
 PAPER_TABLE9 = {
@@ -28,17 +29,20 @@ PAPER_TABLE9 = {
 def run(spark: SparkSession, *, n_nodes: int = 500, n_edges: int = 1100,
         seed: int = 23, w_star: float = 0.2, eps: float = 1e-2,
         beta: float = 0.3) -> pd.DataFrame:
-    g1, g2, g3 = evolving_graphs(spark, n_nodes=n_nodes, n_edges=n_edges,
-                                 n_labels=8, n_versions=3, seed=seed)
+    versions = evolving_graphs_pd(n_nodes=n_nodes, n_edges=n_edges,
+                                  n_labels=8, n_versions=3, seed=seed)
+    # the engine reads Spark graphs, the baselines driver-side ones
+    g1, g2, g3 = (Graph.from_pandas(spark, n, e) for n, e in versions)
+    a1, a2, a3 = (AdjGraph.build(n, e) for n, e in versions)
     rows = []
-    for pair_name, other in (("G1-G2", g2), ("G1-G3", g3)):
+    for pair_name, other, a_other in (("G1-G2", g2, a2), ("G1-G3", g3, a3)):
         measured = {
-            "2-bisim": kbisim_align_f1(spark, g1, other, 2),
-            "4-bisim": kbisim_align_f1(spark, g1, other, 4),
-            "Olap": olap_align_f1(spark, g1, other),
-            "GSANA": gsana_align_f1(spark, g1, other),
-            "FINAL": final_align_f1(spark, g1, other),
-            "EWS": ews_align_f1(spark, g1, other),
+            "2-bisim": kbisim_align_f1(a1, a_other, 2),
+            "4-bisim": kbisim_align_f1(a1, a_other, 4),
+            "Olap": olap_align_f1(a1, a_other),
+            "GSANA": gsana_align_f1(a1, a_other),
+            "FINAL": final_align_f1(a1, a_other),
+            "EWS": ews_align_f1(a1, a_other),
             "FSim_b": fsim_align_f1(spark, g1, other, "b", w_star=w_star,
                                     eps=eps, upper_bound=True, beta=beta),
             "FSim_bj": fsim_align_f1(spark, g1, other, "bj", w_star=w_star,

@@ -1,13 +1,14 @@
 """End-to-end case-study harnesses at micro scale: the Table-6 matching
 pipeline and the Table-9 alignment pipeline."""
+import numpy as np
 import pytest
 
 from repro.align.baselines import (ews_align_f1, final_align_f1,
                                    gsana_align_f1, kbisim_align,
-                                   kbisim_align_f1, olap_align_f1)
+                                   kbisim_align_f1, olap_align, olap_align_f1)
 from repro.align.harness import fsim_align_f1
 from repro.core.reference import FSimConfig
-from repro.graphs.generators import dataset_pd, evolving_graphs
+from repro.graphs.generators import dataset_pd, evolving_graphs_pd
 from repro.graphs.model import AdjGraph, Graph
 from repro.graphs.noise import make_workload, noise_query
 from repro.matching.baselines import run_baseline_parallel
@@ -88,39 +89,65 @@ class TestMatchingPipeline:
 
 
 @pytest.fixture(scope="module")
-def versions(spark):
-    return evolving_graphs(spark, n_nodes=120, n_edges=260, n_labels=6,
-                           n_versions=2, seed=17)
+def versions_pd():
+    return evolving_graphs_pd(n_nodes=120, n_edges=260, n_labels=6,
+                              n_versions=2, seed=17)
+
+
+@pytest.fixture(scope="module")
+def versions(spark, versions_pd):
+    """Each version as a (Spark graph, AdjGraph) pair: the engine reads
+    the first, the baselines the second."""
+    return [(Graph.from_pandas(spark, n, e), AdjGraph.build(n, e))
+            for n, e in versions_pd]
 
 
 class TestAlignmentPipeline:
     def test_fsim_align_beats_baselines(self, spark, versions):
-        g1, g2 = versions
+        (g1, a1), (g2, a2) = versions
         fsim = fsim_align_f1(spark, g1, g2, "b")
-        kb = kbisim_align_f1(spark, g1, g2, 2)
+        kb = kbisim_align_f1(a1, a2, 2)
         assert 0 <= kb <= 100 and 0 <= fsim <= 100
         assert fsim > kb
 
     def test_fsim_align_self_is_high(self, spark, versions):
-        g1 = versions[0]
+        g1 = versions[0][0]
         f1 = fsim_align_f1(spark, g1, g1, "bj")
         assert f1 >= 60.0  # ties on structurally equivalent nodes only
 
-    def test_kbisim_align_contains_truth_at_k0(self, spark, versions):
-        g1, g2 = versions
-        align = kbisim_align(spark, g1, g2, 0)
+    def test_kbisim_align_contains_truth_at_k0(self, versions):
+        (_, a1), (_, a2) = versions
+        align = kbisim_align(a1, a2, 0)
         # k=0: aligned by label, so truth is always inside the set
         for u, a in align.items():
             assert u in a
 
+    def test_colours_compare_across_graphs(self, versions_pd):
+        # a copy with permuted ids, listed in another node and edge order:
+        # each node's image is bisimilar to it at every depth
+        nodes, edges = versions_pd[0]
+        rng = np.random.default_rng(4)
+        perm = rng.permutation(len(nodes))
+        image = dict(zip(nodes["id"].astype(int), perm.tolist()))
+        nodes2 = nodes.assign(id=perm).sample(frac=1.0, random_state=5)
+        edges2 = edges.assign(src=perm[edges["src"]], dst=perm[edges["dst"]]) \
+            .sample(frac=1.0, random_state=6)
+        a1, a2 = AdjGraph.build(nodes, edges), AdjGraph.build(nodes2, edges2)
+        aligns = [kbisim_align(a1, a2, k) for k in range(6)]
+        aligns.append(olap_align(a1, a2))
+        for align in aligns:
+            assert set(align) == set(a1.label)
+            for u, a in align.items():
+                assert image[u] in a
+
     @pytest.mark.parametrize("fn", [olap_align_f1, final_align_f1,
                                     ews_align_f1, gsana_align_f1])
-    def test_baseline_f1_in_range(self, spark, versions, fn):
-        g1, g2 = versions
-        f1 = fn(spark, g1, g2)
+    def test_baseline_f1_in_range(self, versions, fn):
+        (_, a1), (_, a2) = versions
+        f1 = fn(a1, a2)
         assert 0.0 <= f1 <= 100.0
 
-    def test_ews_uses_seeds_well(self, spark, versions):
-        g1, g2 = versions
-        f1 = ews_align_f1(spark, g1, g2, n_seeds=25)
+    def test_ews_uses_seeds_well(self, versions):
+        (_, a1), (_, a2) = versions
+        f1 = ews_align_f1(a1, a2, n_seeds=25)
         assert f1 > 10.0

@@ -244,6 +244,15 @@ class TestConfigValidation:
         # zero is Theorem 4 at k = 0, and a callable L stays legal
         FSimConfig(exact_iters=0, label_fn=lambda a, b: 1.0)
 
+    def test_rejects_max_iter_below_one(self):
+        with pytest.raises(ValueError, match="max_iter=0.*exact_iters"):
+            FSimConfig(max_iter=0)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_rejects_non_positive_eps(self, eps):
+        with pytest.raises(ValueError, match=f"eps={eps}"):
+            FSimConfig(eps=eps)
+
     def test_w_label_property(self):
         cfg = FSimConfig(variant="s", w_out=0.3, w_in=0.3)
         assert cfg.w_label == pytest.approx(0.4)

@@ -44,6 +44,10 @@ class TestWLColors:
         c = wl_colors(lab, [(0, 2)])
         assert c[0] != c[1]  # node 1 isolated, node 0 has a neighbor
 
+    def test_dangling_edge_raises_value_error(self):
+        with pytest.raises(ValueError, match="dangling edge endpoint 7"):
+            wl_colors({0: "A", 1: "A"}, [(0, 1), (1, 7)])
+
 
 def _adj(labels, edges):
     nodes = pd.DataFrame({"id": list(labels), "label": [labels[i] for i in labels]})
