@@ -40,7 +40,19 @@ class Graph:
     def from_pandas(
         spark: SparkSession, nodes: pd.DataFrame, edges: pd.DataFrame
     ) -> "Graph":
-        """Create a Graph from pandas frames (``id,label`` / ``src,dst``)."""
+        """Create a Graph from pandas frames (``id,label`` / ``src,dst``).
+
+        A duplicate node id or an edge endpoint absent from ``nodes``
+        raises ``ValueError``.
+        """
+        dup = nodes["id"][nodes["id"].duplicated()]
+        if len(dup):
+            raise ValueError(f"duplicate node id {int(dup.iloc[0])}")
+        bad = ~(edges["src"].isin(nodes["id"]) & edges["dst"].isin(nodes["id"]))
+        if bad.any():
+            s, d = map(int, edges.loc[bad, ["src", "dst"]].iloc[0])
+            x = d if s in set(nodes["id"]) else s
+            raise ValueError(f"dangling edge endpoint {x} in edge ({s}, {d})")
         n = spark.createDataFrame(nodes[["id", "label"]], schema=NODE_SCHEMA)
         if len(edges) == 0:
             e = spark.createDataFrame([], schema=EDGE_SCHEMA)
@@ -107,20 +119,6 @@ class Graph:
             "max_out_degree": int(row["max_dout"] or 0),
             "max_in_degree": int(row["max_din"] or 0),
         }
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` on duplicate node ids or dangling edge endpoints."""
-        n = self.nodes.count()
-        n_ids = self.nodes.select("id").distinct().count()
-        if n_ids != n:
-            raise ValueError(f"{n - n_ids} duplicate node ids")
-        ids = self.nodes.select("id")
-        dangling = (
-            self.edges.join(ids, self.edges.src == ids.id, "left_anti").count()
-            + self.edges.join(ids, self.edges.dst == ids.id, "left_anti").count()
-        )
-        if dangling:
-            raise ValueError(f"{dangling} dangling edge endpoints")
 
 
 class AdjGraph:

@@ -14,19 +14,17 @@ closed-source comparators (DESIGN.md §3):
 - ``gfinder_like``: cost-based category (G-Finder [36]) — beam-search
   expansion minimizing missing-edge + label-mismatch cost.
 
-All three run per query on a broadcast adjacency; the workload is the
-parallel axis (``run_baseline_parallel``).
+Each runs per query on the driver over the data ``AdjGraph``;
+``tables/table6.py`` loops over the queries. No Spark job runs them.
 """
 from __future__ import annotations
 
 from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
-from pyspark.sql import SparkSession
-
 from ..graphs.model import AdjGraph
 from ..graphs.noise import Query
-from .harness import f1_match, seed_expand
+from .harness import seed_expand
 
 Pair = Tuple[int, int]
 
@@ -190,48 +188,3 @@ def gfinder_like(q: Query, data: AdjGraph, beam: int = 8,
         nxt.sort(key=lambda t: t[0])
         states = nxt[:width] or states
     return states[0][1] if states else {}
-
-
-# ------------------------------------------------------- parallel runner
-
-def run_baseline_parallel(
-    spark: SparkSession, queries: List[Query], data: AdjGraph, which: str,
-    **kw,
-) -> Optional[float]:
-    """Average F1 (percent) of a per-query baseline across the workload.
-
-    Parallelizes over queries with a broadcast adjacency. Returns None
-    when the baseline produces no result for every query (TSpan under
-    label noise — reported as '-' like the paper).
-    """
-    from ..exact.pysim import strong_simulation_match  # local import: ships to executors
-    from .harness import f1_match_nodeset
-
-    bc = spark.sparkContext.broadcast(data)
-
-    def eval_query(q: Query) -> Optional[float]:
-        d = bc.value
-        if which == "tspan":
-            a = tspan_like(q, d, max_missing=kw.get("max_missing", 1))
-            return None if a is None else f1_match(q, a)
-        if which == "naga":
-            return f1_match(q, naga_like(q, d))
-        if which == "gfinder":
-            return f1_match(q, gfinder_like(q, d))
-        if which == "strong":
-            phi = strong_simulation_match(q.labels, q.edges, d)
-            return f1_match_nodeset(q, phi)
-        raise ValueError(which)
-
-    results = (
-        spark.sparkContext.parallelize(queries, min(len(queries), 16))
-        .map(eval_query)
-        .collect()
-    )
-    valid = [r for r in results if r is not None]
-    if not valid:
-        return None
-    # queries with no result count as F1 = 0 (a miss), like the paper's
-    # averaging — unless *every* query failed (reported as '-')
-    total = sum(r if r is not None else 0.0 for r in results)
-    return 100.0 * total / len(results)

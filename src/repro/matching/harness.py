@@ -123,28 +123,39 @@ def seed_expand(
     return assigned
 
 
+def _f1(hits: int, returned: int, size: int) -> float:
+    """The paper's F1 from P = hits / returned and R = hits / size."""
+    if not returned:
+        return 0.0
+    p = hits / returned
+    r = hits / size
+    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+
+
 def f1_match(q: Query, assigned: Dict[int, int]) -> float:
     """The paper's F1: phi_t = correctly matched nodes, P=|phi_t|/|phi|,
     R=|phi_t|/|Q|."""
-    if not assigned:
-        return 0.0
-    phi = set(assigned.values())
     phi_t = sum(1 for qq, m in assigned.items() if q.origin.get(qq) == m)
-    p = phi_t / len(phi)
-    r = phi_t / q.n_nodes()
-    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+    return _f1(phi_t, len(set(assigned.values())), q.n_nodes())
 
 
 def f1_match_nodeset(q: Query, phi: Optional[set]) -> float:
     """F1 for baselines that return a node *set* (strong simulation):
     phi_t = returned nodes that are ground-truth nodes of the query."""
-    if not phi:
-        return 0.0
-    truth = set(q.origin.values())
-    phi_t = len(phi & truth)
-    p = phi_t / len(phi)
-    r = phi_t / q.n_nodes()
-    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+    phi = phi or set()
+    return _f1(len(phi & set(q.origin.values())), len(phi), q.n_nodes())
+
+
+def scenario_mean(f1s: List[Optional[float]]) -> Optional[float]:
+    """Average F1 (percent) over one scenario's queries.
+
+    ``None`` marks a query with no result. It counts as F1 = 0 (a miss),
+    like the paper's averaging, unless *every* query has none: then the
+    mean is ``None`` (TSpan under label noise, reported as '-').
+    """
+    if all(f is None for f in f1s):
+        return None
+    return 100.0 * sum(f or 0.0 for f in f1s) / len(f1s)
 
 
 def run_fsim_scenario(
@@ -157,11 +168,11 @@ def run_fsim_scenario(
     w_star: float = 0.2,
     theta: float = 1.0,
     eps: float = 1e-2,
-) -> float:
+) -> Optional[float]:
     """Average F1 of FSim_variant over one scenario's queries."""
     w = (1.0 - w_star) / 2.0
     cfg = FSimConfig(variant=variant, w_out=w, w_in=w, theta=theta,
                      label_fn="indicator", eps=eps)
     scores = batch_fsim_scores(spark, queries, data, cfg)
-    f1s = [f1_match(q, seed_expand(q, scores[q.qid], data_adj)) for q in queries]
-    return 100.0 * sum(f1s) / len(f1s)
+    return scenario_mean([f1_match(q, seed_expand(q, scores[q.qid], data_adj))
+                          for q in queries])

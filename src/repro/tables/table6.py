@@ -12,16 +12,18 @@ all baselines on the noisy scenarios.
 """
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, Dict, List, Optional
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from ..exact.pysim import strong_simulation_match
 from ..graphs.generators import dataset_pd
 from ..graphs.model import AdjGraph, Graph
 from ..graphs.noise import Query, make_workload, noise_query
-from ..matching.baselines import run_baseline_parallel
-from ..matching.harness import run_fsim_scenario
+from ..matching.baselines import gfinder_like, naga_like, tspan_like
+from ..matching.harness import (f1_match, f1_match_nodeset,
+                                run_fsim_scenario, scenario_mean)
 
 SCENARIOS = ["Exact", "Noisy-E", "Noisy-L", "Combined"]
 
@@ -34,6 +36,26 @@ PAPER_TABLE6 = {
     "StrongSim": {"Exact": 100.0, "Noisy-E": 50.0, "Noisy-L": 33.3, "Combined": 29.2},
     "FSim_s": {"Exact": 100.0, "Noisy-E": 84.0, "Noisy-L": 75.1, "Combined": 76.6},
     "FSim_dp": {"Exact": 100.0, "Noisy-E": 65.7, "Noisy-L": 73.2, "Combined": 66.7},
+}
+
+
+def tspan_f1(max_missing: int) -> Callable[[Query, AdjGraph], Optional[float]]:
+    """TSpan-x's per-query F1; ``None`` when it finds no match."""
+    def f1(q: Query, data: AdjGraph) -> Optional[float]:
+        a = tspan_like(q, data, max_missing)
+        return None if a is None else f1_match(q, a)
+    return f1
+
+
+#: Per-query baselines: name -> F1 of its top-1 match (``None``: no
+#: result). They run on the driver over the data ``AdjGraph``.
+BASELINES: Dict[str, Callable[[Query, AdjGraph], Optional[float]]] = {
+    "NAGA": lambda q, data: f1_match(q, naga_like(q, data)),
+    "G-Finder": lambda q, data: f1_match(q, gfinder_like(q, data)),
+    "TSpan-1": tspan_f1(1),
+    "TSpan-3": tspan_f1(3),
+    "StrongSim": lambda q, data: f1_match_nodeset(
+        q, strong_simulation_match(q.labels, q.edges, data)),
 }
 
 
@@ -55,11 +77,8 @@ def run(spark: SparkSession, *, scale: float = 0.003, n_queries: int = 30,
     for scenario in SCENARIOS:
         qs = workload(scenario)
         measured = {
-            "NAGA": run_baseline_parallel(spark, qs, adj, "naga"),
-            "G-Finder": run_baseline_parallel(spark, qs, adj, "gfinder"),
-            "TSpan-1": run_baseline_parallel(spark, qs, adj, "tspan", max_missing=1),
-            "TSpan-3": run_baseline_parallel(spark, qs, adj, "tspan", max_missing=3),
-            "StrongSim": run_baseline_parallel(spark, qs, adj, "strong"),
+            **{name: scenario_mean([f1(q, adj) for q in qs])
+               for name, f1 in BASELINES.items()},
             "FSim_s": run_fsim_scenario(spark, qs, data, adj, "s",
                                         w_star=w_star, eps=eps),
             "FSim_dp": run_fsim_scenario(spark, qs, data, adj, "dp",

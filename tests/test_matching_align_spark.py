@@ -11,9 +11,10 @@ from repro.core.reference import FSimConfig
 from repro.graphs.generators import dataset_pd, evolving_graphs_pd
 from repro.graphs.model import AdjGraph, Graph
 from repro.graphs.noise import make_workload, noise_query
-from repro.matching.baselines import run_baseline_parallel
 from repro.matching.harness import (batch_fsim_scores, pack_queries,
-                                    run_fsim_scenario, seed_expand, f1_match)
+                                    run_fsim_scenario, scenario_mean,
+                                    seed_expand, f1_match)
+from repro.tables.table6 import BASELINES, tspan_f1
 
 
 @pytest.fixture(scope="module")
@@ -67,24 +68,26 @@ class TestMatchingPipeline:
         assert sum(f1s) / len(f1s) >= 0.8
 
     @pytest.mark.parametrize("which", ["naga", "gfinder", "tspan", "strong"])
-    def test_baselines_run_parallel(self, spark, workload, amazon, which):
+    def test_baselines_run_parallel(self, workload, amazon, which):
         adj = amazon[1]
-        f1 = run_baseline_parallel(spark, workload, adj, which, max_missing=1)
+        name = {"naga": "NAGA", "gfinder": "G-Finder", "tspan": "TSpan-1",
+                "strong": "StrongSim"}[which]
+        f1 = scenario_mean([BASELINES[name](q, adj) for q in workload])
         assert f1 is None or 0.0 <= f1 <= 100.0
 
-    def test_tspan_exact_perfectish(self, spark, workload, amazon):
+    def test_tspan_exact_perfectish(self, workload, amazon):
         adj = amazon[1]
-        f1 = run_baseline_parallel(spark, workload, adj, "tspan", max_missing=0)
+        f1 = scenario_mean([tspan_f1(0)(q, adj) for q in workload])
         assert f1 is not None and f1 >= 80.0
 
-    def test_tspan_none_under_total_label_garbage(self, spark, workload, amazon):
+    def test_tspan_none_under_total_label_garbage(self, workload, amazon):
         adj = amazon[1]
         garbage = [noise_query(q, "Noisy-L", ["__nolabel__"], frac=5.0, seed=i)
                    for i, q in enumerate(workload)]
         # every node relabeled to a label absent from the data
         for q in garbage:
             q.labels = {i: "__nolabel__" for i in q.labels}
-        f1 = run_baseline_parallel(spark, garbage, adj, "tspan", max_missing=1)
+        f1 = scenario_mean([tspan_f1(1)(q, adj) for q in garbage])
         assert f1 is None
 
 

@@ -32,26 +32,32 @@ class TestConstruction:
         row = graph.degrees().first()
         assert row["dout"] == 0 and row["din"] == 0
 
-    def test_validate_ok(self, g):
-        g[0].validate()
+    def test_validate_ok(self, spark, g):
+        _, nodes, edges = g
+        Graph.from_pandas(spark, nodes, edges)  # well-formed: no error
 
     def test_validate_catches_dangling(self, spark):
-        graph = Graph.from_pandas(
-            spark,
-            pd.DataFrame({"id": [0], "label": ["A"]}),
-            pd.DataFrame({"src": [0], "dst": [99]}),
-        )
-        with pytest.raises(ValueError):
-            graph.validate()
+        with pytest.raises(ValueError,
+                           match=r"dangling edge endpoint 99 in edge \(0, 99\)"):
+            Graph.from_pandas(
+                spark,
+                pd.DataFrame({"id": [0], "label": ["A"]}),
+                pd.DataFrame({"src": [0], "dst": [99]}),
+            )
 
     def test_validate_catches_duplicate_ids(self, spark):
-        graph = Graph.from_pandas(
-            spark,
-            pd.DataFrame({"id": [0, 0], "label": ["A", "B"]}),
-            pd.DataFrame({"src": [], "dst": []}),
-        )
         with pytest.raises(ValueError, match="duplicate"):
-            graph.validate()
+            Graph.from_pandas(
+                spark,
+                pd.DataFrame({"id": [0, 0], "label": ["A", "B"]}),
+                pd.DataFrame({"src": [], "dst": []}),
+            )
+
+    def test_from_edge_list_rejects_dangling_edge(self, spark):
+        # the engine would count the edge in degrees() and never match
+        # its missing neighbour; fsim_reference raises on the same graph
+        with pytest.raises(ValueError, match="dangling edge endpoint 7"):
+            Graph.from_edge_list(spark, {0: "A", 1: "B"}, [(0, 1), (7, 1)])
 
 
 class TestDegreesOracle:

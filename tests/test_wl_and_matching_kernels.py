@@ -7,7 +7,9 @@ from repro.exact.kbisim import wl_colors
 from repro.graphs.model import AdjGraph
 from repro.graphs.noise import Query
 from repro.matching.baselines import gfinder_like, naga_like, tspan_like
-from repro.matching.harness import f1_match, f1_match_nodeset, seed_expand
+from repro.matching.harness import (f1_match, f1_match_nodeset,
+                                    scenario_mean, seed_expand)
+from repro.tables.table6 import tspan_f1
 
 import pandas as pd
 
@@ -144,6 +146,15 @@ class TestTspanLike:
     def test_absent_label_returns_none(self):
         q = Query(labels={0: "Z"}, edges=[], origin={0: 10})
         assert tspan_like(q, DATA, max_missing=3) is None
+
+    def test_scenario_mean_counts_no_result_as_miss(self):
+        # one perfect match and one query without result: the mean is
+        # 50, not None (only an all-None scenario reports '-')
+        z = Query(labels={0: "Z"}, edges=[], origin={0: 10})
+        f1s = [tspan_f1(1)(q, DATA) for q in [chain_query(), z]]
+        assert f1s == [pytest.approx(1.0), None]
+        assert scenario_mean(f1s) == 50.0
+        assert scenario_mean([None, None]) is None
 
 
 class TestNagaAndGFinder:
