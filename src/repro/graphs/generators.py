@@ -9,19 +9,15 @@ hubs exist like in the real graphs. See DESIGN.md section 3 for the
 substitution rationale.
 
 Graphs are built driver-side in numpy/pandas (they are at most a few
-hundred thousand rows at our scales) and handed to Spark as DataFrames;
-all distributed computation happens downstream.
+hundred thousand rows at our scales); callers hand them to Spark with
+``Graph.from_pandas`` or to the driver-side kernels as ``AdjGraph``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
-
-from .model import Graph
 
 # ----------------------------------------------------------------- datasets
 
@@ -110,7 +106,8 @@ def labeled_powerlaw_pd(
 
 def dataset_pd(name: str, *, scale: float = 0.01, seed: int = 7,
                label_style: str = "plain") -> Tuple[pd.DataFrame, pd.DataFrame]:
-    """Pandas form of :func:`dataset` (for driver-side kernels/tests)."""
+    """(nodes_pd, edges_pd) of a synthetic stand-in for one of the
+    paper's Table-4 datasets."""
     spec = DATASET_SPECS[name]
     n = max(60, int(spec["V"] * scale))
     m = max(n, int(spec["E"] * scale))
@@ -119,13 +116,6 @@ def dataset_pd(name: str, *, scale: float = 0.01, seed: int = 7,
         n, m, n_labels, a_out=spec["a_out"], a_in=spec["a_in"],
         label_style=label_style, seed=seed + sum(ord(c) for c in name),
     )
-
-
-def dataset(spark: SparkSession, name: str, *, scale: float = 0.01,
-            seed: int = 7, label_style: str = "plain") -> Graph:
-    """A synthetic stand-in for one of the paper's Table-4 datasets."""
-    nodes, edges = dataset_pd(name, scale=scale, seed=seed, label_style=label_style)
-    return Graph.from_pandas(spark, nodes, edges)
 
 
 # -------------------------------------------------------------------- DBIS
@@ -145,14 +135,6 @@ NAMED_VENUES: List[Tuple[str, str, int]] = [
 
 SUBJECT_VENUES = ["WWW", "SIGIR", "ICDE", "VLDB", "SIGMOD", "SIGKDD", "ICDM",
                   "CIKM", "AAAI", "ICML", "ICSE", "INFOCOM", "CHI", "WSDM", "SDM"]
-
-
-@dataclass
-class DbisData:
-    """DBIS-like bibliographic graph + ground-truth venue metadata."""
-
-    graph: Graph
-    venues: pd.DataFrame  # id, name, area, tier
 
 
 def dbis_like_pd(
@@ -275,11 +257,6 @@ def dbis_like_pd(
     vmeta = vdf[["id", "name", "area", "tier"]].copy()
     vmeta["venue_area"] = vmeta["area"]
     return nodes, edges, vmeta
-
-
-def dbis_like(spark: SparkSession, **kw) -> DbisData:
-    nodes, edges, vmeta = dbis_like_pd(**kw)
-    return DbisData(Graph.from_pandas(spark, nodes, edges), vmeta)
 
 
 # --------------------------------------------------- evolving RDF versions

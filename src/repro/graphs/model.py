@@ -8,8 +8,8 @@ Here a :class:`Graph` holds two DataFrames:
 - ``edges``: columns ``src:long, dst:long`` (one row per directed edge).
 
 The Spark algorithms (FSim and the meta-path and nSimGram baselines)
-consume this representation. Helpers compute degrees and the Table-4
-statistics. :class:`AdjGraph` is the driver-side adjacency-list form
+consume this representation; ``degrees`` gives per-node out/in
+degrees. :class:`AdjGraph` is the driver-side adjacency-list form
 that every small Python kernel, exact simulation and colour refinement
 included, reads.
 """
@@ -100,25 +100,6 @@ class Graph:
                 F.coalesce("din", F.lit(0)).cast("long").alias("din"),
             )
         )
-
-    def stats(self) -> Dict[str, float]:
-        """Table-4 statistics: |V|, |E|, |Sigma|, avg degree, max out/in degree."""
-        n_nodes = self.nodes.count()
-        n_edges = self.edges.count()
-        n_labels = self.nodes.select("label").distinct().count()
-        row = self.degrees().agg(
-            F.max("dout").alias("max_dout"), F.max("din").alias("max_din")
-        ).first()
-        # the paper's d_G is |E| / |V| (cf. Yeast: 7182/2361 ~= 3)
-        avg_deg = (n_edges / n_nodes) if n_nodes else 0.0
-        return {
-            "V": n_nodes,
-            "E": n_edges,
-            "labels": n_labels,
-            "avg_degree": avg_deg,
-            "max_out_degree": int(row["max_dout"] or 0),
-            "max_in_degree": int(row["max_din"] or 0),
-        }
 
 
 class AdjGraph:

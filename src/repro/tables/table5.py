@@ -19,7 +19,7 @@ from pyspark.sql import SparkSession
 
 from ..core.fsim import fsim_spark
 from ..core.reference import FSimConfig
-from ..graphs.generators import dataset
+from ..graphs.generators import dataset_pd
 from ..graphs.model import Graph
 
 VARIANTS = ["s", "dp", "b", "bj"]
@@ -45,7 +45,8 @@ def _scores(spark: SparkSession, g: Graph, variant: str, label_fn: str,
 
 def run(spark: SparkSession, scale: float = 0.003, w_star: float = 0.2,
         eps: float = 1e-2, seed: int = 7) -> pd.DataFrame:
-    g = dataset(spark, "NELL", scale=scale, seed=seed, label_style="words")
+    g = Graph.from_pandas(spark, *dataset_pd("NELL", scale=scale, seed=seed,
+                                             label_style="words"))
     rows = []
     for variant in VARIANTS:
         vecs = {

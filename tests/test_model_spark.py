@@ -1,4 +1,4 @@
-"""Graph model on Spark: construction, degrees, stats — degree logic is
+"""Graph model on Spark: construction and degrees — degree logic is
 cross-checked against DuckDB via the SQL oracle."""
 import pandas as pd
 import pytest
@@ -87,18 +87,6 @@ class TestDegreesOracle:
         assert_equivalent(graph.in_edges(),
                           "SELECT dst AS u, src AS nbr FROM edges",
                           edges=edges)
-
-
-class TestStats:
-    def test_stats_fields(self, g):
-        graph, nodes, edges = g
-        s = graph.stats()
-        assert s["V"] == len(nodes)
-        assert s["E"] == len(edges)
-        assert s["labels"] == nodes.label.nunique()
-        assert s["avg_degree"] == pytest.approx(len(edges) / len(nodes))
-        assert s["max_out_degree"] == edges.src.value_counts().iloc[0]
-        assert s["max_in_degree"] == edges.dst.value_counts().iloc[0]
 
 
 class TestAdjGraph:

@@ -2,13 +2,15 @@
 import pandas as pd
 import pytest
 
-from repro.graphs.generators import PAPER_TABLE4, PAPER_TABLE4_DEGREES
+from repro.graphs.generators import (PAPER_TABLE4, PAPER_TABLE4_DEGREES,
+                                     labeled_powerlaw_pd)
 from repro.graphs.toy import PAPER_TABLE2
+from repro.tables.__main__ import TABLES, run_tables
+from repro.tables.dbis import PAPER_TABLE7, PAPER_TABLE8
 from repro.tables.runner import to_markdown
+from repro.tables.table4 import stats
 from repro.tables.table5 import PAPER_TABLE5
 from repro.tables.table6 import PAPER_TABLE6, SCENARIOS
-from repro.tables.table7 import PAPER_TABLE7
-from repro.tables.table8 import PAPER_TABLE8
 from repro.tables.table9 import PAPER_TABLE9
 
 
@@ -67,6 +69,30 @@ class TestPaperConstants:
                                 if not k.startswith("FSim"))
             assert pair["FSim_b"] > best_baseline
             assert pair["FSim_bj"] > best_baseline
+
+
+class TestTable4Stats:
+    def test_stats_fields(self):
+        nodes, edges = labeled_powerlaw_pd(80, 220, 5, seed=21)
+        s = stats(nodes, edges)
+        assert s["V"] == len(nodes)
+        assert s["E"] == len(edges)
+        assert s["labels"] == nodes.label.nunique()
+        assert s["avg_degree"] == pytest.approx(len(edges) / len(nodes))
+        assert s["max_out_degree"] == edges.src.value_counts().iloc[0]
+        assert s["max_in_degree"] == edges.dst.value_counts().iloc[0]
+
+
+class TestRunTables:
+    def test_dict_result_emits_each_frame_under_its_name(self, tmp_path,
+                                                         monkeypatch):
+        df = pd.DataFrame({"a": [1]})
+        monkeypatch.setitem(TABLES, "pair",
+                            (lambda spark: {"x": df, "y": df}, {}, {}))
+        monkeypatch.setitem(TABLES, "lone", (lambda spark: df, {}, {}))
+        run_tables(None, ["pair", "lone"], outdir=str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "lone.csv", "lone.md", "x.csv", "x.md", "y.csv", "y.md"]
 
 
 class TestMarkdownRenderer:

@@ -1,11 +1,12 @@
 """Every table driver produces a well-formed paper-vs-measured frame at
 micro scale, and Table 2's verdict grid matches the paper exactly."""
 from pathlib import Path
+from unittest import mock
 
 import pandas as pd
 import pytest
 
-from repro.tables import table4, table5, table6, table7, table8, table9
+from repro.tables import dbis, table4, table5, table6, table9
 from repro.tables.__main__ import run_tables
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
@@ -71,18 +72,30 @@ class TestTable6:
 
 class TestTables78:
     @pytest.fixture(scope="class")
-    def frames(self, spark):
-        kw = dict(n_venues=32, n_papers=110, n_authors=80)
-        return (table7.run(spark, **kw, eps=5e-2),
-                table8.run(spark, **kw, eps=5e-2))
+    def run(self, spark):
+        """One ``dbis.run`` and the number of ``venue_rankings`` calls
+        it made."""
+        with mock.patch.object(dbis, "venue_rankings",
+                               wraps=dbis.venue_rankings) as rankings:
+            frames = dbis.run(spark, n_venues=32, n_papers=110, n_authors=80,
+                              eps=5e-2)
+        return frames, rankings.call_count
+
+    @pytest.fixture(scope="class")
+    def frames(self, run):
+        return run[0]
+
+    def test_both_tables_read_one_ranking_run(self, run):
+        assert sorted(run[0]) == ["table7", "table8"]
+        assert run[1] == 1
 
     def test_table7_shape(self, frames):
-        df7 = frames[0]
+        df7 = frames["table7"]
         assert list(df7["rank"]) == [1, 2, 3, 4, 5]
         assert (df7.our_FSim_bj.iloc[0]) == "WWW"  # self on top
 
     def test_table8_shape(self, frames):
-        df8 = frames[1]
+        df8 = frames["table8"]
         assert len(df8) == 6
         assert df8.our_ndcg.between(0, 1).all()
 
