@@ -50,16 +50,12 @@ def identity_f1(align: Dict[int, Set[int]], ids: Iterable[int]) -> float:
     return f1_alignment(align, truth, len(truth))
 
 
-def fsim_align_f1(
-    spark: SparkSession, g1: Graph, g2: Graph, variant: str,
-    *, w_star: float = 0.2, theta: float = 1.0, eps: float = 1e-2,
-    upper_bound: bool = False, beta: float = 0.0,
-) -> float:
-    """Align g1 to g2 with FSim_variant{theta[,ub]} and return F1."""
-    w = (1.0 - w_star) / 2.0
-    cfg = FSimConfig(variant=variant, w_out=w, w_in=w, theta=theta,
-                     label_fn="indicator", eps=eps,
-                     upper_bound=upper_bound, alpha=0.0, beta=beta)
+def fsim_align_f1(spark: SparkSession, g1: Graph, g2: Graph, variant: str,
+                  *, eps: float = 1e-2) -> float:
+    """Align g1 to g2 with Table 9's FSim_variant{theta=1, ub} (paper
+    default weights, alpha = 0, beta = 0.3) and return F1."""
+    cfg = FSimConfig(variant=variant, theta=1.0, eps=eps,
+                     upper_bound=True, beta=0.3)
     pdf = fsim_spark(spark, g1, g2, cfg).toPandas()
     return identity_f1(argmax_alignment(pdf),
                        g1.nodes.select("id").toPandas()["id"])

@@ -27,7 +27,8 @@ VARIANTS = ("s", "dp", "b", "bj", "simrank")
 class FSimConfig:
     """Parameters of the FSimX computation (paper defaults).
 
-    ``w_out``/``w_in`` are w+ / w-; ``label_fn`` picks L; ``theta`` is
+    ``w_out``/``w_in`` are w+ / w- (w+ = w- = 0.4, so the label weight
+    w* = 1 - w+ - w- is 0.2); ``label_fn`` picks L; ``theta`` is
     the label-constrained-mapping threshold; ``eps`` the convergence
     tolerance (paper: values change by < 0.01); ``exact_iters`` forces
     exactly k iterations (used for the k-bisimulation relation,

@@ -42,8 +42,8 @@ class Graph:
     ) -> "Graph":
         """Create a Graph from pandas frames (``id,label`` / ``src,dst``).
 
-        A duplicate node id or an edge endpoint absent from ``nodes``
-        raises ``ValueError``.
+        A duplicate node id, an edge endpoint absent from ``nodes`` or a
+        repeated edge raises ``ValueError``.
         """
         dup = nodes["id"][nodes["id"].duplicated()]
         if len(dup):
@@ -53,6 +53,10 @@ class Graph:
             s, d = map(int, edges.loc[bad, ["src", "dst"]].iloc[0])
             x = d if s in set(nodes["id"]) else s
             raise ValueError(f"dangling edge endpoint {x} in edge ({s}, {d})")
+        rep = edges.duplicated(["src", "dst"])
+        if rep.any():
+            s, d = map(int, edges.loc[rep, ["src", "dst"]].iloc[0])
+            raise ValueError(f"duplicate edge ({s}, {d})")
         n = spark.createDataFrame(nodes[["id", "label"]], schema=NODE_SCHEMA)
         if len(edges) == 0:
             e = spark.createDataFrame([], schema=EDGE_SCHEMA)
@@ -113,8 +117,8 @@ class AdjGraph:
     neighbours on both sides, tagged ``"out"`` or ``"in"``, in edge
     order. The greedy kernels break ties by these orders, so the orders
     are part of their output. Built from a ``{id: label}`` map and
-    ``(src, dst)`` pairs; an edge endpoint absent from the map raises
-    ``ValueError``.
+    ``(src, dst)`` pairs; an edge endpoint absent from the map or a
+    repeated edge raises ``ValueError``.
     """
 
     def __init__(self, labels: Mapping[int, str],
@@ -123,11 +127,15 @@ class AdjGraph:
         self.out: Dict[int, List[int]] = {u: [] for u in self.label}
         self.inn: Dict[int, List[int]] = {u: [] for u in self.label}
         self.nbrs: Dict[int, List[Tuple[int, str]]] = {u: [] for u in self.label}
+        seen = set()
         for s, d in edges:
             for x in (s, d):
                 if x not in self.label:
                     raise ValueError(
                         f"dangling edge endpoint {x} in edge ({s}, {d})")
+            if (s, d) in seen:
+                raise ValueError(f"duplicate edge ({s}, {d})")
+            seen.add((s, d))
             self.out[s].append(d)
             self.inn[d].append(s)
             self.nbrs[s].append((d, "out"))

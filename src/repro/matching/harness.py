@@ -158,21 +158,12 @@ def scenario_mean(f1s: List[Optional[float]]) -> Optional[float]:
     return 100.0 * sum(f or 0.0 for f in f1s) / len(f1s)
 
 
-def run_fsim_scenario(
-    spark: SparkSession,
-    queries: List[Query],
-    data: Graph,
-    data_adj: AdjGraph,
-    variant: str,
-    *,
-    w_star: float = 0.2,
-    theta: float = 1.0,
-    eps: float = 1e-2,
-) -> Optional[float]:
-    """Average F1 of FSim_variant over one scenario's queries."""
-    w = (1.0 - w_star) / 2.0
-    cfg = FSimConfig(variant=variant, w_out=w, w_in=w, theta=theta,
-                     label_fn="indicator", eps=eps)
+def run_fsim_scenario(spark: SparkSession, queries: List[Query], data: Graph,
+                      data_adj: AdjGraph, variant: str, *,
+                      eps: float = 1e-2) -> Optional[float]:
+    """Average F1 of FSim_variant over one scenario's queries, at the
+    paper's default weights and theta = 1."""
+    cfg = FSimConfig(variant=variant, theta=1.0, eps=eps)
     scores = batch_fsim_scores(spark, queries, data, cfg)
     return scenario_mean([f1_match(q, seed_expand(q, scores[q.qid], data_adj))
                           for q in queries])

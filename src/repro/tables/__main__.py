@@ -13,10 +13,12 @@ from __future__ import annotations
 import argparse
 import time
 
-from . import dbis, table2, table4, table5, table6, table9
-from .runner import emit, make_session
+from pyspark.sql import SparkSession
 
-# name -> (run, full-size kwargs, --fast kwargs)
+from . import dbis, table2, table4, table5, table6, table9
+from .runner import emit
+
+# name -> (run, full-size kwargs, --fast kwargs); the one place sizes are set
 TABLES = {
     "table2": (table2.run, {}, {}),
     "table4": (table4.run, dict(scale=0.01), dict(scale=0.005)),
@@ -30,15 +32,15 @@ TABLES = {
 }
 
 
-def run_tables(spark, names, fast: bool = False,
-               outdir: str | None = None) -> None:
-    """Run each named entry on ``spark`` and emit its tables to
-    ``outdir``: each frame of a ``{table: frame}`` result under its own
-    name, a lone frame under the entry's name."""
+def run_tables(names, fast: bool = False, outdir: str | None = None) -> None:
+    """Run each named entry and emit its tables to ``outdir``: each frame
+    of a ``{table: frame}`` result under its own name, a lone frame under
+    the entry's name. The entries that run Spark jobs share one session
+    (``make_session``); the first one starts it."""
     for name in names:
         run, full, small = TABLES[name]
         t0 = time.time()
-        out = run(spark, **(small if fast else full))
+        out = run(**(small if fast else full))
         for table, df in (out.items() if isinstance(out, dict)
                           else [(name, out)]):
             emit(df, table, outdir)
@@ -54,8 +56,9 @@ if __name__ == "__main__":
                     metavar="TABLE", help=f"one of {', '.join(TABLES)}, or all")
     args = ap.parse_args()
     names = list(TABLES) if "all" in args.tables else args.tables
-    spark = make_session("repro.tables")
     t0 = time.time()
-    run_tables(spark, names, args.fast)
+    run_tables(names, args.fast)
     print(f"\n{' '.join(names)} done in {time.time() - t0:.0f}s")
-    spark.stop()
+    spark = SparkSession.getActiveSession()
+    if spark is not None:
+        spark.stop()

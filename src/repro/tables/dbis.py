@@ -37,12 +37,12 @@ from ..graphs.generators import SUBJECT_VENUES, dbis_like_pd
 from ..graphs.model import Graph
 from ..similarity.metapath import joinsim, pathsim, pcrw
 from ..similarity.nsimgram import nsimgram
+from .runner import make_session
 
 ALGOS = ["PCRW", "PathSim", "JoinSim", "nSimGram", "FSim_b", "FSim_bj"]
 
-#: w* = 1 - w+ - w- (the paper's default, with w+ = w-), nSimGram's
-#: walk length, and the nDCG cut-off.
-W_STAR = 0.2
+#: The generator's seed, nSimGram's walk length, and the nDCG cut-off.
+SEED = 11
 Q = 3
 K = 15
 
@@ -88,14 +88,12 @@ def venue_rankings(
     ns = nsimgram(g, q=Q, sources=venue_ids).toPandas()
     rankings["nSimGram"] = _rank_table(ns, names)
 
-    # theta = 0: the paper's DBIS runs maintain ALL node pairs ("134060 x
+    # theta = 0 (the default): the paper's DBIS runs maintain ALL node pairs ("134060 x
     # 134060 pairs", Section 5.4 efficiency note), so differently-named
     # authors still compare structurally — that cross-name recursion is
     # what lets FSim rank venues beyond raw co-author overlap.
-    w = (1.0 - W_STAR) / 2.0
     for variant in ("b", "bj"):
-        cfg = FSimConfig(variant=variant, w_out=w, w_in=w, theta=0.0,
-                         label_fn="indicator", eps=eps)
+        cfg = FSimConfig(variant=variant, eps=eps)
         scores = fsim_spark(spark, g, g, cfg)
         vv = (scores.join(venue_ids.withColumnRenamed("id", "u"), "u")
               .join(venue_ids.withColumnRenamed("id", "v"), "v")
@@ -159,12 +157,13 @@ def _table8(rankings: Dict[str, Dict[str, List[str]]],
     return pd.DataFrame(rows)
 
 
-def run(spark: SparkSession, *, n_venues: int, n_papers: int, n_authors: int,
-        seed: int = 11, eps: float = 1e-2) -> Dict[str, pd.DataFrame]:
+def run(*, n_venues: int, n_papers: int, n_authors: int,
+        eps: float = 1e-2) -> Dict[str, pd.DataFrame]:
     """Both tables from one set of venue rankings:
     ``{"table7": ..., "table8": ...}``."""
+    spark = make_session()
     nodes, edges, venues = dbis_like_pd(n_venues=n_venues, n_papers=n_papers,
-                                        n_authors=n_authors, seed=seed)
+                                        n_authors=n_authors, seed=SEED)
     rankings = venue_rankings(spark, Graph.from_pandas(spark, nodes, edges),
                               venues, eps=eps)
     return {"table7": _table7(rankings), "table8": _table8(rankings, venues)}

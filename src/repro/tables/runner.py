@@ -1,8 +1,8 @@
 """The one Spark session builder, and table output.
 
 ``make_session`` builds every SparkSession in the repository: the table
-entrypoint (``python -m repro.tables``), the pytest fixture and the
-benchmark all measure the same config. ``emit`` prints a table and
+drivers that run Spark jobs, the pytest fixture and the benchmark all
+measure the same config. ``emit`` prints a table and
 writes ``<name>.csv`` plus a markdown snippet for EXPERIMENTS.md.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 
-def make_session(app: str) -> SparkSession:
+def make_session(app: str = "repro.tables") -> SparkSession:
     """A local SparkSession: ``local[*]`` or ``$SPARK_MASTER``, driver
     memory ``$SPARK_DRIVER_MEM`` or 8g, ``$SPARK_SHUFFLE_PARTITIONS`` or
     16 shuffle partitions, Arrow on, broadcast joins off (so joins take

@@ -10,22 +10,26 @@ high-but-below-1 near-misses — is comparable).
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..core.fsim import fsim_spark
 from ..core.reference import FSimConfig
 from ..exact.pysim import exact_simulation_py
 from ..graphs.toy import PAPER_TABLE2, U, V, figure1_graphs, figure1_py
+from .runner import make_session
 
 VARIANTS = ["s", "dp", "b", "bj"]
 
+#: convergence tolerance (tighter than the paper's 0.01)
+EPS = 1e-3
 
-def run(spark: SparkSession, w: float = 0.4, eps: float = 1e-3) -> pd.DataFrame:
+
+def run() -> pd.DataFrame:
+    spark = make_session()
     g1, g2 = figure1_graphs(spark)
     l1, e1, l2, e2 = figure1_py()
     rows = []
     for variant in VARIANTS:
-        cfg = FSimConfig(variant=variant, w_out=w, w_in=w, theta=0.0, eps=eps)
+        cfg = FSimConfig(variant=variant, eps=EPS)
         got = {(r["u"], r["v"]): r["score"]
                for r in fsim_spark(spark, g1, g2, cfg).collect()}
         relation = exact_simulation_py(l1, e1, l2, e2, variant)

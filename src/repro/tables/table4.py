@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..graphs.generators import (DATASET_SPECS, PAPER_TABLE4,
                                  PAPER_TABLE4_DEGREES, dataset_pd)
@@ -29,11 +28,9 @@ def stats(nodes: pd.DataFrame, edges: pd.DataFrame) -> Dict[str, float]:
     }
 
 
-def run(spark: SparkSession, scale: float = 0.01,
-        names: list[str] | None = None) -> pd.DataFrame:
-    """``spark`` is unused; it keeps the entrypoint's one call shape."""
+def run(*, scale: float) -> pd.DataFrame:
     rows = []
-    for name in names or list(DATASET_SPECS):
+    for name in DATASET_SPECS:
         s = stats(*dataset_pd(name, scale=scale))
         paper = PAPER_TABLE4[name]
         pd_deg = PAPER_TABLE4_DEGREES[name]

@@ -21,10 +21,12 @@ from ..core.fsim import fsim_spark
 from ..core.reference import FSimConfig
 from ..graphs.generators import dataset_pd
 from ..graphs.model import Graph
+from .runner import make_session
 
 VARIANTS = ["s", "dp", "b", "bj"]
 LABEL_FNS = {"L_I": "indicator", "L_E": "edit", "L_J": "jaro_winkler"}
 PAIRS = [("L_I", "L_E"), ("L_I", "L_J"), ("L_J", "L_E")]
+SEED = 7
 
 #: Paper Table 5 (NELL): rows L_I-L_E / L_I-L_J / L_J-L_E per variant.
 PAPER_TABLE5 = {
@@ -35,22 +37,20 @@ PAPER_TABLE5 = {
 
 
 def _scores(spark: SparkSession, g: Graph, variant: str, label_fn: str,
-            w_star: float, eps: float) -> pd.Series:
-    w = (1.0 - w_star) / 2.0
-    cfg = FSimConfig(variant=variant, w_out=w, w_in=w, theta=0.0,
-                     label_fn=label_fn, eps=eps)
+            eps: float) -> pd.Series:
+    cfg = FSimConfig(variant=variant, label_fn=label_fn, eps=eps)
     pdf = fsim_spark(spark, g, g, cfg).toPandas()
     return pdf.set_index(["u", "v"])["score"].sort_index()
 
 
-def run(spark: SparkSession, scale: float = 0.003, w_star: float = 0.2,
-        eps: float = 1e-2, seed: int = 7) -> pd.DataFrame:
-    g = Graph.from_pandas(spark, *dataset_pd("NELL", scale=scale, seed=seed,
+def run(*, scale: float, eps: float = 1e-2) -> pd.DataFrame:
+    spark = make_session()
+    g = Graph.from_pandas(spark, *dataset_pd("NELL", scale=scale, seed=SEED,
                                              label_style="words"))
     rows = []
     for variant in VARIANTS:
         vecs = {
-            name: _scores(spark, g, variant, fn, w_star, eps)
+            name: _scores(spark, g, variant, fn, eps)
             for name, fn in LABEL_FNS.items()
         }
         for a, b in PAIRS:

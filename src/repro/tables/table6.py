@@ -12,10 +12,9 @@ all baselines on the noisy scenarios.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..exact.pysim import strong_simulation_match
 from ..graphs.generators import dataset_pd
@@ -24,8 +23,10 @@ from ..graphs.noise import Query, make_workload, noise_query
 from ..matching.baselines import gfinder_like, naga_like, tspan_like
 from ..matching.harness import (f1_match, f1_match_nodeset,
                                 run_fsim_scenario, scenario_mean)
+from .runner import make_session
 
 SCENARIOS = ["Exact", "Noisy-E", "Noisy-L", "Combined"]
+SEED = 3
 
 #: Paper Table 6 (Amazon, avg F1 % over 100 queries).
 PAPER_TABLE6 = {
@@ -59,30 +60,23 @@ BASELINES: Dict[str, Callable[[Query, AdjGraph], Optional[float]]] = {
 }
 
 
-def run(spark: SparkSession, *, scale: float = 0.003, n_queries: int = 30,
-        seed: int = 3, w_star: float = 0.2, eps: float = 1e-2) -> pd.DataFrame:
-    nodes_pd, edges_pd = dataset_pd("Amazon", scale=scale, seed=seed)
+def run(*, scale: float, n_queries: int, eps: float = 1e-2) -> pd.DataFrame:
+    spark = make_session()
+    nodes_pd, edges_pd = dataset_pd("Amazon", scale=scale, seed=SEED)
     data = Graph.from_pandas(spark, nodes_pd, edges_pd)
     adj = AdjGraph.build(nodes_pd, edges_pd)
     all_labels = sorted(nodes_pd.label.unique())
-    base = make_workload(nodes_pd, edges_pd, n_queries=n_queries, seed=seed)
-
-    def workload(scenario: str) -> List[Query]:
-        if scenario == "Exact":
-            return base
-        return [noise_query(q, scenario, all_labels, seed=seed + 77 + q.qid)
-                for q in base]
-
+    base = make_workload(nodes_pd, edges_pd, n_queries=n_queries, seed=SEED)
     rows = []
     for scenario in SCENARIOS:
-        qs = workload(scenario)
+        qs = base if scenario == "Exact" else [
+            noise_query(q, scenario, all_labels, seed=SEED + 77 + q.qid)
+            for q in base]
         measured = {
             **{name: scenario_mean([f1(q, adj) for q in qs])
                for name, f1 in BASELINES.items()},
-            "FSim_s": run_fsim_scenario(spark, qs, data, adj, "s",
-                                        w_star=w_star, eps=eps),
-            "FSim_dp": run_fsim_scenario(spark, qs, data, adj, "dp",
-                                         w_star=w_star, eps=eps),
+            "FSim_s": run_fsim_scenario(spark, qs, data, adj, "s", eps=eps),
+            "FSim_dp": run_fsim_scenario(spark, qs, data, adj, "dp", eps=eps),
         }
         for algo, f1 in measured.items():
             rows.append({

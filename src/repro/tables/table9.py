@@ -9,13 +9,13 @@ trail far behind; EWS and FINAL land in between.
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from ..align.baselines import (ews_align_f1, final_align_f1, gsana_align_f1,
                                kbisim_align_f1, olap_align_f1)
 from ..align.harness import fsim_align_f1
 from ..graphs.generators import evolving_graphs_pd
 from ..graphs.model import AdjGraph, Graph
+from .runner import make_session
 
 #: Paper Table 9 (F1 %).
 PAPER_TABLE9 = {
@@ -25,12 +25,13 @@ PAPER_TABLE9 = {
               "FINAL": 52.7, "EWS": 65.3, "FSim_b": 96.9, "FSim_bj": 95.6},
 }
 
+SEED = 23
 
-def run(spark: SparkSession, *, n_nodes: int = 500, n_edges: int = 1100,
-        seed: int = 23, w_star: float = 0.2, eps: float = 1e-2,
-        beta: float = 0.3) -> pd.DataFrame:
+
+def run(*, n_nodes: int, n_edges: int, eps: float = 1e-2) -> pd.DataFrame:
+    spark = make_session()
     versions = evolving_graphs_pd(n_nodes=n_nodes, n_edges=n_edges,
-                                  n_labels=8, n_versions=3, seed=seed)
+                                  n_labels=8, n_versions=3, seed=SEED)
     # the engine reads Spark graphs, the baselines driver-side ones
     g1, g2, g3 = (Graph.from_pandas(spark, n, e) for n, e in versions)
     a1, a2, a3 = (AdjGraph.build(n, e) for n, e in versions)
@@ -43,10 +44,8 @@ def run(spark: SparkSession, *, n_nodes: int = 500, n_edges: int = 1100,
             "GSANA": gsana_align_f1(a1, a_other),
             "FINAL": final_align_f1(a1, a_other),
             "EWS": ews_align_f1(a1, a_other),
-            "FSim_b": fsim_align_f1(spark, g1, other, "b", w_star=w_star,
-                                    eps=eps, upper_bound=True, beta=beta),
-            "FSim_bj": fsim_align_f1(spark, g1, other, "bj", w_star=w_star,
-                                     eps=eps, upper_bound=True, beta=beta),
+            "FSim_b": fsim_align_f1(spark, g1, other, "b", eps=eps),
+            "FSim_bj": fsim_align_f1(spark, g1, other, "bj", eps=eps),
         }
         for algo, f1 in measured.items():
             rows.append({"graphs": pair_name, "algorithm": algo,

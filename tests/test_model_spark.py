@@ -44,6 +44,13 @@ class TestConstruction:
                 pd.DataFrame({"id": [0], "label": ["A"]}),
                 pd.DataFrame({"src": [0], "dst": [99]}),
             )
+        # a repeated edge: the engine's degrees would count it twice
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            Graph.from_pandas(
+                spark,
+                pd.DataFrame({"id": [0, 1], "label": ["A", "B"]}),
+                pd.DataFrame({"src": [0, 1, 0], "dst": [1, 0, 1]}),
+            )
 
     def test_validate_catches_duplicate_ids(self, spark):
         with pytest.raises(ValueError, match="duplicate"):
@@ -58,6 +65,8 @@ class TestConstruction:
         # its missing neighbour; fsim_reference raises on the same graph
         with pytest.raises(ValueError, match="dangling edge endpoint 7"):
             Graph.from_edge_list(spark, {0: "A", 1: "B"}, [(0, 1), (7, 1)])
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            Graph.from_edge_list(spark, {0: "A", 1: "B"}, [(0, 1), (0, 1)])
 
 
 class TestDegreesOracle:

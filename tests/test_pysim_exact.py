@@ -87,6 +87,14 @@ class TestBasicSemantics:
             fsim_reference({0: "A"}, [(0, 1)], {0: "A"}, [], FSimConfig())
         with pytest.raises(ValueError, match="endpoint 1"):
             exact_simulation_py({0: "A"}, [], {0: "A"}, [(0, 1)], "s")
+        # a repeated edge: the engine and the reference would disagree on it
+        lab, twice = {0: "A", 1: "B"}, [(0, 1), (0, 1)]
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            AdjGraph(lab, twice)
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            fsim_reference(lab, twice, lab, [(0, 1)], FSimConfig())
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            exact_simulation_py(lab, [(0, 1)], lab, twice, "s")
 
     def test_unknown_variant_raises(self):
         # simrank is an engine configuration, not an exact simulation

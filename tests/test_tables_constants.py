@@ -1,6 +1,7 @@
 """Integrity of the recorded paper numbers and table plumbing (no Spark)."""
 import pandas as pd
 import pytest
+from pyspark.sql import SparkSession
 
 from repro.graphs.generators import (PAPER_TABLE4, PAPER_TABLE4_DEGREES,
                                      labeled_powerlaw_pd)
@@ -88,11 +89,19 @@ class TestRunTables:
                                                          monkeypatch):
         df = pd.DataFrame({"a": [1]})
         monkeypatch.setitem(TABLES, "pair",
-                            (lambda spark: {"x": df, "y": df}, {}, {}))
-        monkeypatch.setitem(TABLES, "lone", (lambda spark: df, {}, {}))
-        run_tables(None, ["pair", "lone"], outdir=str(tmp_path))
+                            (lambda: {"x": df, "y": df}, {}, {}))
+        monkeypatch.setitem(TABLES, "lone", (lambda: df, {}, {}))
+        run_tables(["pair", "lone"], outdir=str(tmp_path))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "lone.csv", "lone.md", "x.csv", "x.md", "y.csv", "y.md"]
+
+    def test_table4_starts_no_spark_session(self, tmp_path, monkeypatch):
+        # every session, make_session's included, comes from getOrCreate
+        def no_session(builder):
+            raise AssertionError("table4 asked for a Spark session")
+        monkeypatch.setattr(SparkSession.Builder, "getOrCreate", no_session)
+        run_tables(["table4"], outdir=str(tmp_path))
+        assert (tmp_path / "table4.csv").exists()
 
 
 class TestMarkdownRenderer:

@@ -1,11 +1,14 @@
 """Every table driver produces a well-formed paper-vs-measured frame at
-micro scale, and Table 2's verdict grid matches the paper exactly."""
+micro scale, and Table 2's verdict grid matches the paper exactly. The
+drivers that run Spark jobs get the test session from ``make_session``
+(``getOrCreate``), so those tests request the ``spark`` fixture."""
 from pathlib import Path
 from unittest import mock
 
 import pandas as pd
 import pytest
 
+from repro.graphs.generators import PAPER_TABLE4
 from repro.tables import dbis, table4, table5, table6, table9
 from repro.tables.__main__ import run_tables
 
@@ -17,7 +20,7 @@ class TestTable2:
     def out(self, spark, tmp_path_factory):
         """Table 2 as the entrypoint writes it."""
         out = tmp_path_factory.mktemp("results")
-        run_tables(spark, ["table2"], outdir=str(out))
+        run_tables(["table2"], outdir=str(out))
         return out
 
     @pytest.fixture(scope="class")
@@ -42,27 +45,29 @@ class TestTable2:
 
 
 class TestTable4:
-    def test_two_datasets(self, spark):
-        df = table4.run(spark, scale=0.002, names=["Yeast", "GP"])
-        assert list(df.dataset) == ["Yeast", "GP"]
+    def test_eight_datasets(self):
+        df = table4.run(scale=0.002)
+        assert list(df.dataset) == list(PAPER_TABLE4)
         assert (df.our_V > 0).all() and (df.our_E > 0).all()
         assert (df.our_labels <= df.paper_labels).all()
         # degree skew present: max in-degree well above the average
         assert (df.our_max_din > df.our_avg_deg).all()
 
 
+@pytest.mark.usefixtures("spark")
 class TestTable5:
-    def test_micro(self, spark):
-        df = table5.run(spark, scale=0.0006, eps=5e-2)
+    def test_micro(self):
+        df = table5.run(scale=0.0006, eps=5e-2)
         assert len(df) == 12  # 3 pairs x 4 variants
         assert df.our_pearson.notna().all()
         # the paper's shape: strong correlation across initializations
         assert (df.our_pearson > 0.5).all()
 
 
+@pytest.mark.usefixtures("spark")
 class TestTable6:
-    def test_micro(self, spark):
-        df = table6.run(spark, scale=0.0005, n_queries=4, eps=5e-2)
+    def test_micro(self):
+        df = table6.run(scale=0.0005, n_queries=4, eps=5e-2)
         assert set(df.scenario) == {"Exact", "Noisy-E", "Noisy-L", "Combined"}
         assert set(df.algorithm) == {"NAGA", "G-Finder", "TSpan-1", "TSpan-3",
                                      "StrongSim", "FSim_s", "FSim_dp"}
@@ -77,7 +82,7 @@ class TestTables78:
         it made."""
         with mock.patch.object(dbis, "venue_rankings",
                                wraps=dbis.venue_rankings) as rankings:
-            frames = dbis.run(spark, n_venues=32, n_papers=110, n_authors=80,
+            frames = dbis.run(n_venues=32, n_papers=110, n_authors=80,
                               eps=5e-2)
         return frames, rankings.call_count
 
@@ -100,9 +105,10 @@ class TestTables78:
         assert df8.our_ndcg.between(0, 1).all()
 
 
+@pytest.mark.usefixtures("spark")
 class TestTable9:
-    def test_micro(self, spark):
-        df = table9.run(spark, n_nodes=120, n_edges=260, eps=5e-2)
+    def test_micro(self):
+        df = table9.run(n_nodes=120, n_edges=260, eps=5e-2)
         assert set(df.graphs) == {"G1-G2", "G1-G3"}
         assert df.our_f1.between(0, 100).all()
         piv = df.pivot(index="algorithm", columns="graphs", values="our_f1")

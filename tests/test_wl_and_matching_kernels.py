@@ -49,6 +49,8 @@ class TestWLColors:
     def test_dangling_edge_raises_value_error(self):
         with pytest.raises(ValueError, match="dangling edge endpoint 7"):
             wl_colors({0: "A", 1: "A"}, [(0, 1), (1, 7)])
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+            wl_colors({0: "A", 1: "A"}, [(0, 1), (1, 0), (0, 1)])
 
 
 def _adj(labels, edges):
